@@ -10,8 +10,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -444,27 +442,22 @@ func BenchmarkExtBypassOverhead(b *testing.B) {
 }
 
 // fleetScaleBench runs the synthetic fleet-scale kernel workload (see
-// internal/experiments/scale.go) on both backends, reporting events/sec
-// and allocs/op. This is the tentpole comparison: the timer wheel must
-// beat the heap on both metrics at 128 jobs (see TestFleetScalePerfGuard).
+// internal/experiments/scale.go), reporting events/sec and allocs/op: the
+// kernel event queue's row of the wall-clock ledger.
 func fleetScaleBench(b *testing.B, jobs int) {
 	const iters = 200
-	for _, backend := range []sim.Backend{sim.BackendHeap, sim.BackendWheel} {
-		b.Run(string(backend), func(b *testing.B) {
-			b.ReportAllocs()
-			var res experiments.FleetScaleResult
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				res = experiments.FleetScaleSim(jobs, iters, backend)
-			}
-			wall := time.Since(start).Seconds()
-			events := float64(res.Stats.Executed) * float64(b.N)
-			if wall > 0 {
-				b.ReportMetric(events/wall, "events/sec")
-			}
-			b.ReportMetric(float64(res.Stats.Executed), "events/op")
-		})
+	b.ReportAllocs()
+	var res experiments.FleetScaleResult
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		res = experiments.FleetScaleSim(jobs, iters)
 	}
+	wall := time.Since(start).Seconds()
+	events := float64(res.Stats.Executed) * float64(b.N)
+	if wall > 0 {
+		b.ReportMetric(events/wall, "events/sec")
+	}
+	b.ReportMetric(float64(res.Stats.Executed), "events/op")
 }
 
 func BenchmarkFleetScale8(b *testing.B)   { fleetScaleBench(b, 8) }
@@ -565,51 +558,5 @@ func BenchmarkSequencerPlan(b *testing.B) {
 	b.ReportMetric(float64(len(mf.Batches)), "seq-maxflow-batches")
 	if mf.Predicted > lpt.Predicted {
 		b.Fatalf("maxflow predicted %v exceeds LPT %v", mf.Predicted, lpt.Predicted)
-	}
-}
-
-// TestFleetScalePerfGuard asserts the tentpole acceptance criterion —
-// the wheel backend executes >=2x the events/sec of the heap backend with
-// >=50% fewer allocations at 128 jobs. Wall-clock assertions are machine-
-// sensitive, so the guard runs only when NINJA_PERF=1 (scripts/bench.sh
-// sets it); the functional equivalence of the backends is covered
-// unconditionally by the kernel oracle and ext-fleet determinism tests.
-func TestFleetScalePerfGuard(t *testing.T) {
-	if os.Getenv("NINJA_PERF") != "1" {
-		t.Skip("set NINJA_PERF=1 to run the wall-clock perf guard")
-	}
-	const jobs, iters, rounds = 128, 200, 3
-	measure := func(backend sim.Backend) (secs float64, allocs uint64, events uint64) {
-		best := -1.0
-		for r := 0; r < rounds; r++ {
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			res := experiments.FleetScaleSim(jobs, iters, backend)
-			wall := time.Since(start).Seconds()
-			runtime.ReadMemStats(&ms1)
-			if best < 0 || wall < best {
-				best = wall
-				allocs = ms1.Mallocs - ms0.Mallocs
-				events = res.Stats.Executed
-			}
-		}
-		return best, allocs, events
-	}
-	heapSecs, heapAllocs, events := measure(sim.BackendHeap)
-	wheelSecs, wheelAllocs, wheelEvents := measure(sim.BackendWheel)
-	if events != wheelEvents {
-		t.Fatalf("backends executed different event counts: heap %d, wheel %d", events, wheelEvents)
-	}
-	speedup := heapSecs / wheelSecs
-	allocRatio := float64(wheelAllocs) / float64(heapAllocs)
-	t.Logf("128 jobs: heap %.1fms (%d allocs), wheel %.1fms (%d allocs): %.2fx events/sec, %.0f%% fewer allocs",
-		heapSecs*1e3, heapAllocs, wheelSecs*1e3, wheelAllocs, speedup, 100*(1-allocRatio))
-	if speedup < 2 {
-		t.Errorf("wheel speedup %.2fx, want >= 2x", speedup)
-	}
-	if allocRatio > 0.5 {
-		t.Errorf("wheel allocs are %.0f%% of heap's, want <= 50%%", 100*allocRatio)
 	}
 }

@@ -1,14 +1,10 @@
 // Command benchdiff guards the simulated-result benchmark metrics against
-// drift. It reads `go test -bench` output on stdin, extracts every custom
-// metric whose unit starts with "sim-" (simulated seconds / bandwidths —
-// deterministic observables, unlike wall-clock ns/op), "farm-" (Monte
-// Carlo sweep aggregates — percentiles over seeded runs, equally
-// deterministic), "churn-" (online-placement workload observables:
-// time-weighted affinity cost and corrective-migration spend), or "seq-"
-// (migration-sequencer predictions: per-policy batch counts and predicted
-// makespans), or "rdma-" (RDMA-native QP-replay migration observables:
-// per-rung totals and demotion counts), and compares them against a
-// committed baseline.
+// drift. It reads `go test -bench` output on stdin and compares every
+// gated metric against a committed baseline. The rule is one convention on
+// units: a unit containing "/" (ns/op, B/op, allocs/op, events/sec,
+// runs/sec, events/op, ...) is wall-clock or informational and never
+// compared; every other unit is a deterministic simulated observable
+// (sim-*, farm-*, churn-*, seq-*, rdma-*, ...) and is gated.
 //
 // Usage:
 //
@@ -26,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -50,7 +47,7 @@ func main() {
 		fatal("%v", err)
 	}
 	if len(observed) == 0 {
-		fatal("no sim-*/farm-*/churn-*/seq-*/rdma-* metrics found on stdin (pipe `go test -bench` output in)")
+		fatal("no gated metrics found on stdin (pipe `go test -bench` output in)")
 	}
 
 	if *write != "" {
@@ -103,13 +100,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) match %s (tol %g)\n", len(observed), *baseline, *tol)
 }
 
-// parseBench extracts "value sim-*" / "value farm-*" / "value churn-*" /
-// "value seq-*"
-// metric pairs from go-test benchmark output, keyed by "BenchName/unit"
-// with any -GOMAXPROCS suffix stripped.
-func parseBench(f *os.File) (map[string]float64, error) {
+// parseBench extracts the gated "value unit" metric pairs — those whose
+// unit has no "/" — from go-test benchmark output, keyed by
+// "BenchName/unit" with any -GOMAXPROCS suffix stripped.
+func parseBench(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -125,9 +121,7 @@ func parseBench(f *os.File) (map[string]float64, error) {
 		// fields[1] is the iteration count; after that, (value, unit) pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			unit := fields[i+1]
-			if !strings.HasPrefix(unit, "sim-") && !strings.HasPrefix(unit, "farm-") &&
-				!strings.HasPrefix(unit, "churn-") && !strings.HasPrefix(unit, "seq-") &&
-				!strings.HasPrefix(unit, "rdma-") {
+			if strings.Contains(unit, "/") {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)

@@ -13,8 +13,7 @@
 //	ninjabench -run=ext-sweep -sweep-seeds=32             # Monte Carlo fault sweep
 //	ninjabench -run=ext-sweep -sweep-par=8 -sweep-jobs=2  # fixed worker count
 //	ninjabench -run=table2,ext-fleet -json results.json
-//	ninjabench -scale-jobs=128                      # kernel scale sweep, both backends
-//	ninjabench -run=ext-fleet -kernel=wheel -cpuprofile fleet.pprof
+//	ninjabench -run=ext-fleet -cpuprofile fleet.pprof
 package main
 
 import (
@@ -30,11 +29,9 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/simfarm"
 )
 
@@ -61,8 +58,6 @@ func run(ctx context.Context) int {
 	sweepPar := flag.Int("sweep-par", 0, "worker count for ext-sweep (0 = run at 1 and 8, verify byte-identical summaries, report speedup)")
 	sweepJobs := flag.Int("sweep-jobs", 0, "fleet size per ext-sweep cell (0 = default 4 jobs)")
 	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
-	kernel := flag.String("kernel", "", "kernel event-queue backend for ext-fleet: heap (default) or wheel")
-	scaleJobs := flag.Int("scale-jobs", 0, "run the synthetic fleet-scale kernel sweep up to this many jobs on both backends")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the selected runs) to this file")
 	flag.Parse()
@@ -102,17 +97,6 @@ func run(ctx context.Context) int {
 		os.Exit(1)
 	}
 
-	var backend sim.Backend
-	switch *kernel {
-	case "", "heap":
-		backend = sim.BackendHeap
-	case "wheel":
-		backend = sim.BackendWheel
-	default:
-		fmt.Fprintf(os.Stderr, "ninjabench: unknown -kernel %q (want heap or wheel)\n", *kernel)
-		os.Exit(1)
-	}
-
 	fail := func(id string, err error) {
 		fmt.Fprintf(os.Stderr, "ninjabench: %s: %v\n", id, err)
 		os.Exit(1)
@@ -125,34 +109,17 @@ func run(ctx context.Context) int {
 		fmt.Println(t)
 	}
 
-	// -scale-jobs runs the kernel scale sweep on its own; combine with an
-	// explicit -run to also regenerate paper tables in the same (profiled)
-	// process.
-	runSet := *run != "all"
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "run" {
-			runSet = true
-		}
-	})
-
 	want := map[string]bool{}
-	switch {
-	case *run == "all" && *scaleJobs > 0 && !runSet:
-		// sweep only
-	case *run == "all":
+	if *run == "all" {
 		for _, id := range []string{"table1", "table2", "fig6", "fig7", "fig8a", "fig8b",
 			"ext-scalability", "ext-coldvslive", "ext-bypass", "ext-faults", "ext-rdma",
 			"ext-fleet", "ext-churn", "ext-sweep"} {
 			want[id] = true
 		}
-	default:
+	} else {
 		for _, id := range strings.Split(*run, ",") {
 			want[strings.TrimSpace(strings.ToLower(id))] = true
 		}
-	}
-
-	if *scaleJobs > 0 && ctx.Err() == nil {
-		emit(scaleSweep(*scaleJobs, backend, *kernel != ""))
 	}
 
 	if want["table1"] && ctx.Err() == nil {
@@ -239,7 +206,7 @@ func run(ctx context.Context) int {
 	}
 	if want["ext-fleet"] && ctx.Err() == nil {
 		rows, err := experiments.ExtFleetMatrixCtx(ctx,
-			experiments.FleetConfig{Jobs: *fleetJobs, DrainCap: *drainCap, Backend: backend, SeqMode: *fleetSeq})
+			experiments.FleetConfig{Jobs: *fleetJobs, DrainCap: *drainCap, SeqMode: *fleetSeq})
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fail("ext-fleet", err)
 		}
@@ -247,7 +214,7 @@ func run(ctx context.Context) int {
 	}
 
 	if want["ext-churn"] && ctx.Err() == nil {
-		cfg := experiments.ChurnConfig{Backend: backend}
+		var cfg experiments.ChurnConfig
 		cfg.Workload.Jobs = *churnJobs
 		cfg.Workload.Seed = *churnSeed
 		rows, err := experiments.ExtChurnMatrixCtx(ctx, cfg)
@@ -331,34 +298,4 @@ func runSweep(ctx context.Context, jobs, seeds, par int) (*metrics.Table, error)
 	fmt.Printf("ext-sweep: summaries byte-identical at parallelism 1 and 8; speedup %.2fx (wall-clock, %d CPU(s))\n",
 		seq.Wall.Elapsed.Seconds()/pool.Wall.Elapsed.Seconds(), runtime.NumCPU())
 	return pool.Summary.Render(), err
-}
-
-// scaleSweep runs FleetScaleSim at doubling fleet sizes up to maxJobs and
-// tabulates wall-clock throughput. With no explicit -kernel it compares
-// both backends side by side; otherwise it sweeps only the selected one.
-func scaleSweep(maxJobs int, backend sim.Backend, only bool) *metrics.Table {
-	backends := []sim.Backend{sim.BackendHeap, sim.BackendWheel}
-	if only {
-		backends = []sim.Backend{backend}
-	}
-	t := metrics.NewTable("Kernel scale sweep (synthetic fleet, 200 iterations/job)",
-		"jobs", "backend", "events", "sim-end-s", "wall-ms", "events/sec")
-	for jobs := 8; ; jobs *= 2 {
-		if jobs > maxJobs {
-			jobs = maxJobs
-		}
-		for _, b := range backends {
-			start := time.Now()
-			res := experiments.FleetScaleSim(jobs, 0, b)
-			wall := time.Since(start)
-			t.AddRow(res.Jobs, string(res.Backend), res.Stats.Executed,
-				res.End,
-				fmt.Sprintf("%.1f", float64(wall.Microseconds())/1e3),
-				fmt.Sprintf("%.0f", float64(res.Stats.Executed)/wall.Seconds()))
-		}
-		if jobs == maxJobs {
-			break
-		}
-	}
-	return t
 }

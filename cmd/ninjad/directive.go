@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/churn"
 	"repro/internal/experiments"
@@ -83,13 +84,21 @@ type DirectiveSpec struct {
 }
 
 // parseSpec decodes and validates a directive body. Unknown fields are
-// rejected so a typo ("placment") cannot silently run the default fleet.
+// rejected so a typo ("placment") cannot silently run the default fleet,
+// and so is anything but exactly one JSON object: a null directive or
+// trailing data must not run the default fleet either.
 func parseSpec(raw json.RawMessage) (DirectiveSpec, error) {
 	var spec DirectiveSpec
+	if b := bytes.TrimSpace(raw); len(b) == 0 || b[0] != '{' {
+		return spec, fmt.Errorf("directive: must be a JSON object")
+	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return spec, fmt.Errorf("directive: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, fmt.Errorf("directive: trailing data after the JSON object")
 	}
 	switch spec.Kind {
 	case "", "evacuate", "rolling-maintenance":

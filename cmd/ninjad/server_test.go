@@ -156,21 +156,22 @@ func TestSubmitRejectsBadDirectives(t *testing.T) {
 	d := startDaemon(t, t.TempDir())
 	base := "http://" + d.addr()
 	for name, body := range map[string]string{
-		"no directive":  `{"id":"x"}`,
-		"bad json":      `{nope`,
-		"unknown kind":  `{"directive":{"kind":"explode"}}`,
-		"consolidate":   `{"directive":{"kind":"consolidate"}}`,
-		"unknown field": `{"directive":{"placment":"swap"}}`,
-		"rolling+home":  `{"directive":{"kind":"rolling-maintenance","return_home":true}}`,
-		"sweep+policy":  `{"directive":{"kind":"sweep","placement":"swap"}}`,
-		"sweep-seeds<0": `{"directive":{"kind":"sweep","seeds":-1}}`,
-		"evac+seeds":    `{"directive":{"kind":"evacuate","seeds":4}}`,
-		"evac+seed":     `{"directive":{"kind":"evacuate","seed":7}}`,
-		"bad matrix":    `{"directive":{"kind":"sweep","matrix":"explode"}}`,
-		"bad plan name": `{"directive":{"kind":"sweep","fault_plans":["no-such-plan"]}}`,
-		"churn+seeds":   `{"directive":{"kind":"churn","seeds":4}}`,
-		"churn+batched": `{"directive":{"kind":"churn","batched":true}}`,
-		"churn-seed<0":  `{"directive":{"kind":"churn","seed":-1}}`,
+		"no directive":   `{"id":"x"}`,
+		"null directive": `{"id":"x","directive":null}`,
+		"bad json":       `{nope`,
+		"unknown kind":   `{"directive":{"kind":"explode"}}`,
+		"consolidate":    `{"directive":{"kind":"consolidate"}}`,
+		"unknown field":  `{"directive":{"placment":"swap"}}`,
+		"rolling+home":   `{"directive":{"kind":"rolling-maintenance","return_home":true}}`,
+		"sweep+policy":   `{"directive":{"kind":"sweep","placement":"swap"}}`,
+		"sweep-seeds<0":  `{"directive":{"kind":"sweep","seeds":-1}}`,
+		"evac+seeds":     `{"directive":{"kind":"evacuate","seeds":4}}`,
+		"evac+seed":      `{"directive":{"kind":"evacuate","seed":7}}`,
+		"bad matrix":     `{"directive":{"kind":"sweep","matrix":"explode"}}`,
+		"bad plan name":  `{"directive":{"kind":"sweep","fault_plans":["no-such-plan"]}}`,
+		"churn+seeds":    `{"directive":{"kind":"churn","seeds":4}}`,
+		"churn+batched":  `{"directive":{"kind":"churn","batched":true}}`,
+		"churn-seed<0":   `{"directive":{"kind":"churn","seed":-1}}`,
 	} {
 		code, resp := httpJSON(t, "POST", base+"/jobs", body)
 		if code != http.StatusBadRequest {

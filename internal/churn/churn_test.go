@@ -18,8 +18,8 @@ type rig struct {
 	topo *fleet.Topology
 }
 
-func newRig(backend sim.Backend, nfs float64) *rig {
-	k := sim.NewKernelWith(sim.Options{Backend: backend})
+func newRig(nfs float64) *rig {
+	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
 	ib := tb.AddCluster("ib", 4, hw.AGCNodeSpec)
 	ethSpec := hw.AGCNodeSpec
@@ -44,9 +44,11 @@ func defaultWorkload(seed int64) Workload {
 	}
 }
 
-func runOnce(t *testing.T, backend sim.Backend, opts Options) Report {
+// runOnce executes opts on a fresh rig and returns the report with the
+// kernel's counters.
+func runOnce(t *testing.T, opts Options) (Report, sim.Stats) {
 	t.Helper()
-	r := newRig(backend, 0)
+	r := newRig(0)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, opts)
 	if err != nil {
@@ -56,7 +58,22 @@ func runOnce(t *testing.T, backend sim.Backend, opts Options) Report {
 	if !eng.Done().Done() {
 		t.Fatalf("engine did not finish: %+v", rep)
 	}
-	return rep
+	return rep, r.k.Stats()
+}
+
+// runTwice runs opts twice and fails unless the reruns agree byte for
+// byte, kernel counters included.
+func runTwice(t *testing.T, opts Options) Report {
+	t.Helper()
+	a, sa := runOnce(t, opts)
+	b, sb := runOnce(t, opts)
+	if a.JSON() != b.JSON() {
+		t.Fatalf("%v: rerun reports differ:\n%s\n%s", opts.Policy, a.JSON(), b.JSON())
+	}
+	if sa != sb {
+		t.Fatalf("%v: rerun kernel stats differ: %+v vs %+v", opts.Policy, sa, sb)
+	}
+	return a
 }
 
 // The arrival schedule is a pure function of the workload spec: same
@@ -102,33 +119,17 @@ func TestWorkloadLifetimeBounds(t *testing.T) {
 	}
 }
 
-// A churn run is byte-identical across kernel backends: the heap and
-// timer-wheel queues execute the same events in the same (time, seq)
-// order, and the engine consumes its PRNG before the clock starts.
-func TestChurnDeterministicAcrossBackends(t *testing.T) {
-	for _, pol := range []Policy{PolicyGreedy, PolicySwap} {
-		opts := Options{Workload: defaultWorkload(11), Policy: pol}
-		heap := runOnce(t, sim.BackendHeap, opts)
-		wheel := runOnce(t, sim.BackendWheel, opts)
-		if heap.JSON() != wheel.JSON() {
-			t.Errorf("%v: backend reports differ:\nheap:  %s\nwheel: %s", pol, heap.JSON(), wheel.JSON())
-		}
-	}
-}
-
-// Repeated runs with the same seed are byte-identical; a different seed
-// produces a different run.
+// Repeated runs with the same seed are byte-identical under both
+// policies, kernel event counts included (the engine consumes its PRNG
+// before the clock starts); a different seed produces a different run.
 func TestChurnSeedStability(t *testing.T) {
-	opts := Options{Workload: defaultWorkload(5), Policy: PolicySwap}
-	a := runOnce(t, sim.BackendHeap, opts)
-	b := runOnce(t, sim.BackendHeap, opts)
-	if a.JSON() != b.JSON() {
-		t.Fatalf("same seed, different reports:\n%s\n%s", a.JSON(), b.JSON())
-	}
-	opts.Workload.Seed = 6
-	c := runOnce(t, sim.BackendHeap, opts)
-	if a.JSON() == c.JSON() {
-		t.Fatal("different seeds produced byte-identical reports")
+	for _, pol := range []Policy{PolicyGreedy, PolicySwap} {
+		opts := Options{Workload: defaultWorkload(5), Policy: pol}
+		a := runTwice(t, opts)
+		opts.Workload.Seed = 6
+		if c, _ := runOnce(t, opts); a.JSON() == c.JSON() {
+			t.Fatalf("%v: different seeds produced byte-identical reports", pol)
+		}
 	}
 }
 
@@ -136,8 +137,8 @@ func TestChurnSeedStability(t *testing.T) {
 // affinity deficit relative to the greedy baseline — the subsystem's
 // headline claim — and pays for it with migrations.
 func TestSwapBeatsGreedyOnAffinityCost(t *testing.T) {
-	greedy := runOnce(t, sim.BackendHeap, Options{Workload: defaultWorkload(11), Policy: PolicyGreedy})
-	swap := runOnce(t, sim.BackendHeap, Options{Workload: defaultWorkload(11), Policy: PolicySwap})
+	greedy, _ := runOnce(t, Options{Workload: defaultWorkload(11), Policy: PolicyGreedy})
+	swap, _ := runOnce(t, Options{Workload: defaultWorkload(11), Policy: PolicySwap})
 	if greedy.SwapMigs != 0 {
 		t.Fatalf("greedy executed %d swap migrations, want 0", greedy.SwapMigs)
 	}
@@ -152,7 +153,7 @@ func TestSwapBeatsGreedyOnAffinityCost(t *testing.T) {
 // Every job reaches a terminal state and the books balance.
 func TestChurnConservation(t *testing.T) {
 	for _, pol := range []Policy{PolicyGreedy, PolicySwap} {
-		rep := runOnce(t, sim.BackendHeap, Options{Workload: defaultWorkload(2), Policy: pol})
+		rep, _ := runOnce(t, Options{Workload: defaultWorkload(2), Policy: pol})
 		if rep.Arrived != 48 {
 			t.Fatalf("%v: arrived %d, want 48", pol, rep.Arrived)
 		}
@@ -174,11 +175,7 @@ func TestChurnNodeCrashEvictsAndReplaces(t *testing.T) {
 		t.Fatalf("ParsePlan: %v", err)
 	}
 	opts := Options{Workload: defaultWorkload(4), Policy: PolicySwap, Faults: plan}
-	a := runOnce(t, sim.BackendHeap, opts)
-	b := runOnce(t, sim.BackendWheel, opts)
-	if a.JSON() != b.JSON() {
-		t.Fatalf("faulted runs differ across backends:\n%s\n%s", a.JSON(), b.JSON())
-	}
+	a := runTwice(t, opts)
 	if a.Faults != 1 {
 		t.Fatalf("faults fired %d, want 1", a.Faults)
 	}
@@ -220,7 +217,7 @@ func TestOptionsValidate(t *testing.T) {
 // uplinks; with a cold model and a priced NFS server it also crosses
 // the storage link.
 func TestMigrationPricingLinks(t *testing.T) {
-	r := newRig(sim.BackendHeap, 1e9)
+	r := newRig(1e9)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(1), Model: fleet.CostModel{Cold: true}})
 	if err != nil {
@@ -249,7 +246,7 @@ func TestMigrationPricingLinks(t *testing.T) {
 // on top of the reset. Capacity on failed hardware must be stranded
 // until reinstate rebuilds the books from ground truth.
 func TestEvictFromStrandsFailedCapacity(t *testing.T) {
-	r := newRig(sim.BackendHeap, 0)
+	r := newRig(0)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(1)})
 	if err != nil {

@@ -52,8 +52,6 @@ type DeployConfig struct {
 	ContinueLikeRestart bool
 	// Params overrides the VMM cost model (zero value → defaults).
 	Params *vmm.Params
-	// Backend selects the kernel event-queue backend (zero value → heap).
-	Backend sim.Backend
 }
 
 // Deploy builds the testbed, boots the VMs and creates the job.
@@ -68,7 +66,7 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	k := sim.NewKernelWith(sim.Options{Backend: cfg.Backend})
+	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
 	src := tb.AddCluster("agc-ib", 8, hw.AGCNodeSpec)
 	dstSpec := hw.AGCNodeSpec

@@ -1,78 +1,79 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestExtFleetDeterminism is the backend acceptance gate: the full 7-row
-// ext-fleet matrix (every directive × policy × fault combination) must
-// render byte-identical across the heap and timer-wheel kernel backends,
-// and across two consecutive runs on the same backend — under both
-// sequencing modes. Any divergence in event ordering, PS completion
-// order, pooled-event reuse, or sequencer tie-breaking shows up here as
-// a table diff.
-// TestExtRDMADeterminism is the RDMA-native acceptance row: the six-rung
-// ext-rdma ladder (clean replay, each injected demotion, the preflight
-// demotion and the hotplug baseline) must render byte-identical across the
-// heap and timer-wheel backends and across consecutive runs. With the mode
-// off the rows ARE the hotplug baseline, so this also pins the zero-fault
-// observables the bench baseline guards.
-func TestExtRDMADeterminism(t *testing.T) {
-	render := func(b sim.Backend) string {
-		rows, err := ExtRDMAWith(b)
-		if err != nil {
-			t.Fatalf("%s ladder: %v", b, err)
-		}
-		if len(rows) != len(extRDMAScenarios()) {
-			t.Fatalf("%s ladder: %d rows", b, len(rows))
-		}
-		return ExtRDMARender(rows).String()
+// requireRerunIdentical fails unless two runs of the same program rendered
+// byte-identical tables and replayed the same kernel counters per row.
+func requireRerunIdentical(t *testing.T, what, table1, table2 string, stats1, stats2 []sim.Stats) {
+	t.Helper()
+	if table1 != table2 {
+		t.Fatalf("%s not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", what, table1, table2)
 	}
-	heap1 := render(sim.BackendHeap)
-	heap2 := render(sim.BackendHeap)
-	if heap1 != heap2 {
-		t.Fatalf("heap backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", heap1, heap2)
-	}
-	wheel1 := render(sim.BackendWheel)
-	wheel2 := render(sim.BackendWheel)
-	if wheel1 != wheel2 {
-		t.Fatalf("wheel backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", wheel1, wheel2)
-	}
-	if heap1 != wheel1 {
-		t.Fatalf("backends disagree:\n--- heap:\n%s\n--- wheel:\n%s", heap1, wheel1)
+	if !slices.Equal(stats1, stats2) {
+		t.Fatalf("%s kernel stats differ across runs:\nrun 1: %+v\nrun 2: %+v", what, stats1, stats2)
 	}
 }
 
+// TestExtRDMADeterminism is the RDMA-native acceptance row: the six-rung
+// ext-rdma ladder (clean replay, each injected demotion, the preflight
+// demotion and the hotplug baseline) must render byte-identical, with the
+// same kernel event counts, across consecutive runs. With the mode off the
+// rows ARE the hotplug baseline, so this also pins the zero-fault
+// observables the bench baseline guards.
+func TestExtRDMADeterminism(t *testing.T) {
+	run := func() (string, []sim.Stats) {
+		rows, err := ExtRDMA()
+		if err != nil {
+			t.Fatalf("ladder: %v", err)
+		}
+		if len(rows) != len(extRDMAScenarios()) {
+			t.Fatalf("ladder: %d rows", len(rows))
+		}
+		var stats []sim.Stats
+		for _, r := range rows {
+			stats = append(stats, r.Stats)
+		}
+		return ExtRDMARender(rows).String(), stats
+	}
+	table1, stats1 := run()
+	table2, stats2 := run()
+	requireRerunIdentical(t, "ext-rdma ladder", table1, table2, stats1, stats2)
+}
+
+// TestExtFleetDeterminism is the fleet acceptance gate: the full ext-fleet
+// matrix (every directive × policy × fault combination) must render
+// byte-identical, with the same kernel event counts, across two
+// consecutive runs — under both sequencing modes. Any divergence in event
+// ordering, PS completion order, pooled-event reuse, flow completion
+// order, or sequencer tie-breaking shows up here.
 func TestExtFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run fleet matrix is not short")
 	}
 	for _, seqMode := range []string{"", "maxflow"} {
-		render := func(b sim.Backend) string {
-			cfg := FleetConfig{Jobs: 3, DrainCap: 2, Backend: b, SeqMode: seqMode}
+		cfg := FleetConfig{Jobs: 3, DrainCap: 2, SeqMode: seqMode}
+		run := func() (string, []sim.Stats) {
 			rows, err := ExtFleetMatrix(cfg)
 			if err != nil {
-				t.Fatalf("%s matrix: %v", b, err)
+				t.Fatalf("seq %q matrix: %v", seqMode, err)
 			}
 			if len(rows) != len(ExtFleetScenarios(cfg.DrainCap, cfg.SeqMode)) {
-				t.Fatalf("%s matrix: %d rows", b, len(rows))
+				t.Fatalf("seq %q matrix: %d rows", seqMode, len(rows))
 			}
-			return ExtFleetRender(rows).String()
+			var stats []sim.Stats
+			for _, r := range rows {
+				stats = append(stats, r.Stats)
+			}
+			return ExtFleetRender(rows).String(), stats
 		}
-		heap1 := render(sim.BackendHeap)
-		heap2 := render(sim.BackendHeap)
-		if heap1 != heap2 {
-			t.Fatalf("seq %q: heap backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", seqMode, heap1, heap2)
-		}
-		wheel1 := render(sim.BackendWheel)
-		wheel2 := render(sim.BackendWheel)
-		if wheel1 != wheel2 {
-			t.Fatalf("seq %q: wheel backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", seqMode, wheel1, wheel2)
-		}
-		if heap1 != wheel1 {
-			t.Fatalf("seq %q: backends disagree:\n--- heap:\n%s\n--- wheel:\n%s", seqMode, heap1, wheel1)
-		}
+		table1, stats1 := run()
+		table2, stats2 := run()
+		requireRerunIdentical(t, fmt.Sprintf("seq %q fleet matrix", seqMode), table1, table2, stats1, stats2)
 	}
 }

@@ -38,10 +38,6 @@ type ChurnConfig struct {
 	// Workload is the seeded arrival process; zero fields default as in
 	// churn.Workload (64 jobs, 0.5/s, exponential 120 s lifetimes).
 	Workload churn.Workload
-	// Backend selects the kernel's event-queue backend (zero value =
-	// sim.BackendHeap). Churn reports are backend-independent — the
-	// determinism acceptance test holds them byte-identical.
-	Backend sim.Backend
 }
 
 func (cfg ChurnConfig) withDefaults() ChurnConfig {
@@ -88,7 +84,7 @@ type ChurnDeployment struct {
 // DeployChurn builds the two-site churn testbed.
 func DeployChurn(cfg ChurnConfig) *ChurnDeployment {
 	cfg = cfg.withDefaults()
-	k := sim.NewKernelWith(sim.Options{Backend: cfg.Backend})
+	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
 	ib := tb.AddCluster("churn-ib", cfg.IBNodes, hw.AGCNodeSpec)
 	ethSpec := hw.AGCNodeSpec
@@ -156,6 +152,9 @@ type ChurnRow struct {
 	WaitP50      sim.Time
 	WaitP95      sim.Time
 	Duration     sim.Time
+	// Stats is the kernel's scheduler counters after the run (not
+	// rendered); a rerun of the row must reproduce them exactly.
+	Stats sim.Stats
 }
 
 // ChurnResult pairs the row with the raw report for tests.
@@ -214,6 +213,7 @@ func RunChurnScenarioWith(cfg ChurnConfig, sc ChurnScenario, logf func(format st
 		WaitP50:      rep.WaitP50,
 		WaitP95:      rep.WaitP95,
 		Duration:     rep.Duration,
+		Stats:        d.K.Stats(),
 	}
 	return &ChurnResult{Row: row, Report: rep}, nil
 }

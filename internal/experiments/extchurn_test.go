@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/churn"
-	"repro/internal/sim"
 )
 
 // The subsystem's acceptance claim: on the default scenario the
@@ -66,24 +65,26 @@ func TestExtChurnMatrix(t *testing.T) {
 	}
 }
 
-// A churn report is byte-identical across kernel backends at the
-// experiments layer too (deployment naming and fault wiring included),
-// and the log tap does not perturb the run.
+// A churn report is byte-identical across reruns at the experiments layer
+// too (deployment naming and fault wiring included), with the same kernel
+// event counts, and the log tap does not perturb the run.
 func TestExtChurnDeterminism(t *testing.T) {
 	sc := ChurnScenario{Policy: churn.PolicySwap, Faults: ChurnCrashPlan()}
-	heap, err := RunChurnScenario(ChurnConfig{Backend: sim.BackendHeap}, sc)
+	plain, err := RunChurnScenario(ChurnConfig{}, sc)
 	if err != nil {
-		t.Fatalf("heap: %v", err)
+		t.Fatalf("untapped run: %v", err)
 	}
 	lines := 0
-	wheel, err := RunChurnScenarioWith(ChurnConfig{Backend: sim.BackendWheel}, sc,
-		func(string, ...any) { lines++ })
+	tapped, err := RunChurnScenarioWith(ChurnConfig{}, sc, func(string, ...any) { lines++ })
 	if err != nil {
-		t.Fatalf("wheel: %v", err)
+		t.Fatalf("tapped run: %v", err)
 	}
-	if heap.Report.JSON() != wheel.Report.JSON() {
-		t.Fatalf("backend reports differ:\nheap:  %s\nwheel: %s",
-			heap.Report.JSON(), wheel.Report.JSON())
+	if plain.Report.JSON() != tapped.Report.JSON() {
+		t.Fatalf("rerun reports differ:\nuntapped: %s\ntapped:   %s",
+			plain.Report.JSON(), tapped.Report.JSON())
+	}
+	if plain.Row.Stats != tapped.Row.Stats {
+		t.Fatalf("rerun kernel stats differ: untapped %+v, tapped %+v", plain.Row.Stats, tapped.Row.Stats)
 	}
 	if lines == 0 {
 		t.Fatal("log tap observed no engine lines on a faulted run")

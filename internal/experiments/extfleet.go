@@ -52,11 +52,6 @@ type FleetConfig struct {
 	// DrainCap is the rolling-maintenance jobs-in-flight cap per
 	// mini-plan (default 2).
 	DrainCap int
-	// Backend selects the simulation kernel's event-queue backend (zero
-	// value = sim.BackendHeap). Observable results are backend-independent
-	// — the determinism acceptance test holds the matrix byte-identical
-	// across backends.
-	Backend sim.Backend
 	// SeqMode selects the matrix's sequencing algorithm: "" or "lpt"
 	// keeps the default LPT matrix (byte-stable across releases);
 	// "maxflow" swaps the batched rows for time-expanded max-flow rounds
@@ -165,7 +160,7 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 	nVMs, ibDst := cfg.shape()
 	ethSpec := hw.AGCNodeSpec
 	ethSpec.IBBandwidth = 0
-	k := sim.NewKernelWith(sim.Options{Backend: cfg.Backend})
+	k := sim.NewKernel()
 	w := hw.NewWideArea(k, hw.WideAreaConfig{
 		Sites: []hw.SiteConfig{
 			{Nodes: nVMs, Spec: hw.AGCNodeSpec},               // dc0: IB source
@@ -332,6 +327,9 @@ type FleetRow struct {
 	Replans    int
 	Requeues   int
 	Outcomes   string
+	// Stats is the kernel's scheduler counters after the run (not
+	// rendered); a rerun of the row must reproduce them exactly.
+	Stats sim.Stats
 }
 
 // FleetResult pairs the row with the raw report for tests.
@@ -514,6 +512,7 @@ func RunFleetScenarioWith(cfg FleetConfig, sc FleetScenario, sink func(metrics.E
 		Replans:   rep.Replans,
 		Requeues:  rep.Requeues,
 		Outcomes:  rep.OutcomeCounts(),
+		Stats:     d.K.Stats(),
 	}
 	if sc.Kind == fleet.RollingMaintenance {
 		// Rolling plans are placed and sequenced incrementally: count the

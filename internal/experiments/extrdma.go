@@ -35,6 +35,9 @@ type RDMARow struct {
 	Linkup  sim.Time
 	Total   sim.Time
 	Outcome ninja.Outcome
+	// Stats is the kernel's scheduler counters after the run (not
+	// rendered); a rerun of the row must reproduce them exactly.
+	Stats sim.Stats
 }
 
 // rdmaScenario describes one rung of the ext-rdma ladder.
@@ -66,12 +69,11 @@ func extRDMAScenarios() []rdmaScenario {
 }
 
 // runRDMAScenario executes one rung on a fresh 2-VM deployment.
-func runRDMAScenario(sc rdmaScenario, b sim.Backend) (RDMARow, error) {
+func runRDMAScenario(sc rdmaScenario) (RDMARow, error) {
 	row := RDMARow{Scenario: sc.Name}
 	d, err := Deploy(DeployConfig{
 		NVMs: 2, RanksPerVM: 1, GuestMemGB: 8,
 		AttachHCA: true, DstHasIB: sc.DstIB, ContinueLikeRestart: true,
-		Backend: b,
 	})
 	if err != nil {
 		return row, err
@@ -142,18 +144,15 @@ func runRDMAScenario(sc rdmaScenario, b sim.Backend) (RDMARow, error) {
 	row.Linkup = rep.Linkup
 	row.Total = rep.Total
 	row.Outcome = rep.Outcome
+	row.Stats = d.K.Stats()
 	return row, nil
 }
 
 // ExtRDMA runs the RDMA-native ladder matrix.
-func ExtRDMA() ([]RDMARow, error) { return ExtRDMAWith(sim.BackendHeap) }
-
-// ExtRDMAWith is ExtRDMA on an explicit kernel backend — the determinism
-// acceptance test renders the matrix on both and diffs the tables.
-func ExtRDMAWith(b sim.Backend) ([]RDMARow, error) {
+func ExtRDMA() ([]RDMARow, error) {
 	var rows []RDMARow
 	for _, sc := range extRDMAScenarios() {
-		row, err := runRDMAScenario(sc, b)
+		row, err := runRDMAScenario(sc)
 		if err != nil {
 			return rows, err
 		}

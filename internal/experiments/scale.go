@@ -4,39 +4,37 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the fleet-scale kernel workload behind BenchmarkFleetScale
-// and `ninjabench -scale-jobs`: a pure event-level model of an O(jobs)
-// directive that concentrates the control plane's hot operations —
-// Schedule/Cancel watchdog churn, processor-sharing completions, and
-// same-instant event bursts — without goroutine handoffs, so the two
-// kernel backends can be compared on event-queue cost alone.
+// This file is the fleet-scale kernel workload behind BenchmarkFleetScale:
+// a pure event-level model of an O(jobs) directive that concentrates the
+// control plane's hot operations — Schedule/Cancel watchdog churn,
+// processor-sharing completions, and same-instant event bursts — without
+// goroutine handoffs, so it times the kernel's event queue and PS alone.
 
 // FleetScaleResult summarizes one synthetic fleet-scale run.
 type FleetScaleResult struct {
-	Jobs    int
-	Iters   int
-	Backend sim.Backend
-	Stats   sim.Stats
-	End     sim.Time // simulated completion time
+	Jobs  int
+	Iters int
+	Stats sim.Stats
+	End   sim.Time // simulated completion time
 }
 
 // FleetScaleSim runs jobs synthetic orchestrators for iters iterations
-// each on a kernel with the given backend. Every iteration submits a work
-// quantum to a processor-sharing pool shared by up to 8 jobs (the PS
-// O(log K) hot path), arms eight guard timers spanning the timer-wheel
-// levels — the per-operation timeout fan a real orchestrator carries
-// (precopy-pass watchdog, downtime cap, QMP timeout, FT probe, drain
-// deadline, ...) — and cancels them all when the quantum completes, then
-// sleeps a per-job think time. The run is fully deterministic: no wall
-// clock, no PRNG.
-func FleetScaleSim(jobs, iters int, backend sim.Backend) FleetScaleResult {
+// each on a fresh kernel; it is the kernel-queue row of the benchmark
+// ledger. Every iteration submits a work quantum to a processor-sharing
+// pool shared by up to 8 jobs (the PS O(log K) hot path), arms eight guard
+// timers spanning the timer-wheel levels — the per-operation timeout fan a
+// real orchestrator carries (precopy-pass watchdog, downtime cap, QMP
+// timeout, FT probe, drain deadline, ...) — and cancels them all when the
+// quantum completes, then sleeps a per-job think time. The run is fully
+// deterministic: no wall clock, no PRNG.
+func FleetScaleSim(jobs, iters int) FleetScaleResult {
 	if jobs <= 0 {
 		jobs = 8
 	}
 	if iters <= 0 {
 		iters = 200
 	}
-	k := sim.NewKernelWith(sim.Options{Backend: backend})
+	k := sim.NewKernel()
 	defer k.Close()
 	const poolSize = 8
 	nPools := (jobs + poolSize - 1) / poolSize
@@ -80,5 +78,5 @@ func FleetScaleSim(jobs, iters int, backend sim.Backend) FleetScaleResult {
 		k.Schedule(sim.Time(i)*sim.Millisecond, j.step)
 	}
 	end := k.Run()
-	return FleetScaleResult{Jobs: jobs, Iters: iters, Backend: backend, Stats: k.Stats(), End: end}
+	return FleetScaleResult{Jobs: jobs, Iters: iters, Stats: k.Stats(), End: end}
 }

@@ -34,7 +34,7 @@ func TestMaxMinInvariants(t *testing.T) {
 		// Feasibility on every link.
 		for _, l := range append(private, shared) {
 			var sum float64
-			for f := range l.flows {
+			for _, f := range l.flows {
 				sum += f.Rate()
 			}
 			if sum > l.Bandwidth*1.0001 {
@@ -43,7 +43,7 @@ func TestMaxMinInvariants(t *testing.T) {
 		}
 		// Saturation or cap for every flow.
 		var sharedSum float64
-		for f := range shared.flows {
+		for _, f := range shared.flows {
 			sharedSum += f.Rate()
 		}
 		sharedSaturated := sharedSum >= shared.Bandwidth*0.999

@@ -7,6 +7,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/sim"
 )
@@ -19,18 +20,24 @@ type Link struct {
 	Bandwidth float64  // bytes per second
 	Latency   sim.Time // one-way propagation + serialization setup cost
 	net       *Network
-	flows     map[*Flow]struct{}
+	flows     flowSet
+	// Scratch state of one computeRates pass.
+	remCap float64
+	cnt    int
 }
 
 // Flow is an in-progress transfer across a path of links. Its rate is
 // recomputed by the network whenever the set of active flows changes.
 type Flow struct {
+	id        uint64 // creation order; fixes every iteration order
 	path      []*Link
 	remaining float64
 	rate      float64
 	maxRate   float64 // 0 = uncapped
 	done      *sim.Future[struct{}]
 	cancelled bool
+	active    bool // in its bandwidth phase (member of the network's flows)
+	assigned  bool // rate settled in the current computeRates pass
 }
 
 // Done returns the future resolved when the flow finishes.
@@ -43,20 +50,44 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 // Rate returns the flow's current max-min fair rate in bytes per second.
 func (f *Flow) Rate() float64 { return f.rate }
 
+// flowSet holds flows sorted by creation order, so that completing flows
+// and filling rates visit them in the same order on every run: rate
+// filling subtracts floating-point shares, and a different order can move
+// a completion by a nanosecond.
+type flowSet []*Flow
+
+func (s *flowSet) add(f *Flow) {
+	i := sort.Search(len(*s), func(i int) bool { return (*s)[i].id >= f.id })
+	if i < len(*s) && (*s)[i] == f {
+		return // a path may cross a link twice
+	}
+	*s = append(*s, nil)
+	copy((*s)[i+1:], (*s)[i:])
+	(*s)[i] = f
+}
+
+func (s *flowSet) remove(f *Flow) {
+	i := sort.Search(len(*s), func(i int) bool { return (*s)[i].id >= f.id })
+	if i < len(*s) && (*s)[i] == f {
+		*s = append((*s)[:i], (*s)[i+1:]...)
+	}
+}
+
 // Network performs max-min fair bandwidth allocation across all active
 // flows. All links of a simulated deployment belong to one Network.
 type Network struct {
 	k          *sim.Kernel
 	links      []*Link
 	trunks     []*Trunk
-	flows      map[*Flow]struct{}
+	flows      flowSet
+	nextID     uint64
 	lastUpdate sim.Time
 	pending    sim.Event
 }
 
 // NewNetwork returns an empty network bound to k.
 func NewNetwork(k *sim.Kernel) *Network {
-	return &Network{k: k, flows: make(map[*Flow]struct{})}
+	return &Network{k: k}
 }
 
 // Kernel returns the simulation kernel the network runs on.
@@ -67,7 +98,7 @@ func (n *Network) NewLink(name string, bandwidth float64, latency sim.Time) *Lin
 	if bandwidth <= 0 {
 		panic(fmt.Sprintf("fabric: link %q with non-positive bandwidth", name))
 	}
-	l := &Link{Name: name, Bandwidth: bandwidth, Latency: latency, net: n, flows: make(map[*Flow]struct{})}
+	l := &Link{Name: name, Bandwidth: bandwidth, Latency: latency, net: n}
 	n.links = append(n.links, l)
 	return l
 }
@@ -94,7 +125,9 @@ func (n *Network) StartFlow(path []*Link, bytes float64, maxRate float64) *Flow 
 			panic("fabric: StartFlow with link from another network")
 		}
 	}
+	n.nextID++
 	f := &Flow{
+		id:        n.nextID,
 		path:      path,
 		remaining: bytes,
 		maxRate:   maxRate,
@@ -110,9 +143,10 @@ func (n *Network) StartFlow(path []*Link, bytes float64, maxRate float64) *Flow 
 			return
 		}
 		n.sync()
-		n.flows[f] = struct{}{}
+		f.active = true
+		n.flows.add(f)
 		for _, l := range f.path {
-			l.flows[f] = struct{}{}
+			l.flows.add(f)
 		}
 		n.replan()
 	})
@@ -131,7 +165,7 @@ func (n *Network) Cancel(f *Flow) {
 		return
 	}
 	f.cancelled = true
-	if _, active := n.flows[f]; active {
+	if f.active {
 		n.sync()
 		n.removeFlow(f)
 		n.replan()
@@ -146,9 +180,10 @@ func (n *Network) Sync() { n.sync() }
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 func (n *Network) removeFlow(f *Flow) {
-	delete(n.flows, f)
+	f.active = false
+	n.flows.remove(f)
 	for _, l := range f.path {
-		delete(l.flows, f)
+		l.flows.remove(f)
 	}
 }
 
@@ -159,7 +194,7 @@ func (n *Network) sync() {
 		return
 	}
 	elapsed := (now - n.lastUpdate).Seconds()
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.remaining -= f.rate * elapsed
 	}
 	n.lastUpdate = now
@@ -171,7 +206,7 @@ const flowEpsilon = 1e-6
 // schedules the next completion event.
 func (n *Network) replan() {
 	var finished []*Flow
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.remaining <= flowEpsilon {
 			finished = append(finished, f)
 		}
@@ -187,7 +222,7 @@ func (n *Network) replan() {
 	}
 	n.computeRates()
 	next := sim.MaxTime
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.rate <= 0 {
 			continue
 		}
@@ -208,42 +243,48 @@ func (n *Network) replan() {
 }
 
 // computeRates performs max-min fair allocation with per-flow caps
-// (progressive filling / waterfilling).
+// (progressive filling / waterfilling). Flows are visited in creation
+// order and links in creation order, so the result is the same on every
+// run.
 func (n *Network) computeRates() {
-	unassigned := make(map[*Flow]struct{}, len(n.flows))
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.rate = 0
-		unassigned[f] = struct{}{}
+		f.assigned = false
 	}
-	remCap := make(map[*Link]float64)
-	cnt := make(map[*Link]int)
+	unassigned := len(n.flows)
+	var busy []*Link // links carrying flows
 	for _, l := range n.links {
 		if len(l.flows) == 0 {
 			continue
 		}
-		remCap[l] = l.Bandwidth
-		cnt[l] = len(l.flows)
+		l.remCap = l.Bandwidth
+		l.cnt = len(l.flows)
+		busy = append(busy, l)
 	}
-	for len(unassigned) > 0 {
+	settle := func(f *Flow, rate float64) {
+		f.rate = rate
+		f.assigned = true
+		unassigned--
+		for _, l := range f.path {
+			l.remCap -= rate
+			l.cnt--
+		}
+	}
+	for unassigned > 0 {
 		// Fair share if we saturated the tightest link now.
 		share := math.Inf(1)
-		for l, c := range cnt {
-			if c > 0 {
-				if s := remCap[l] / float64(c); s < share {
+		for _, l := range busy {
+			if l.cnt > 0 {
+				if s := l.remCap / float64(l.cnt); s < share {
 					share = s
 				}
 			}
 		}
 		// Flows capped below the share settle first at their cap.
 		progressed := false
-		for f := range unassigned {
-			if f.maxRate > 0 && f.maxRate <= share {
-				f.rate = f.maxRate
-				for _, l := range f.path {
-					remCap[l] -= f.maxRate
-					cnt[l]--
-				}
-				delete(unassigned, f)
+		for _, f := range n.flows {
+			if !f.assigned && f.maxRate > 0 && f.maxRate <= share {
+				settle(f, f.maxRate)
 				progressed = true
 			}
 		}
@@ -252,30 +293,26 @@ func (n *Network) computeRates() {
 		}
 		if math.IsInf(share, 1) {
 			// No constraining link (shouldn't happen: every flow has links).
-			for f := range unassigned {
-				f.rate = f.maxRate
-				delete(unassigned, f)
+			for _, f := range n.flows {
+				if !f.assigned {
+					f.rate = f.maxRate
+					f.assigned = true
+				}
 			}
 			return
 		}
 		// Saturate the bottleneck link(s): fix every unassigned flow that
 		// crosses a link whose fair share equals the minimum.
 		const tol = 1e-9
-		for l, c := range cnt {
-			if c <= 0 {
+		for _, l := range busy {
+			if l.cnt <= 0 {
 				continue
 			}
-			if remCap[l]/float64(c) <= share*(1+tol) {
-				for f := range l.flows {
-					if _, ok := unassigned[f]; !ok {
-						continue
+			if l.remCap/float64(l.cnt) <= share*(1+tol) {
+				for _, f := range l.flows {
+					if !f.assigned {
+						settle(f, share)
 					}
-					f.rate = share
-					for _, pl := range f.path {
-						remCap[pl] -= share
-						cnt[pl]--
-					}
-					delete(unassigned, f)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +273,47 @@ func TestAdapterPathAndReachability(t *testing.T) {
 func TestTechString(t *testing.T) {
 	if InfiniBand.String() != "InfiniBand" || Ethernet.String() != "Ethernet" {
 		t.Fatal("Tech.String broken")
+	}
+}
+
+// TestFlowCompletionOrderReplays reruns a many-flow program over shared
+// links and requires the same completion order and kernel counters every
+// time. Groups of identical flows finish at the same instant, and rates
+// are filled on links of awkward capacities, so completing flows or
+// filling rates in map order shows up as a reordered trace or an extra
+// +1 ns completion event.
+func TestFlowCompletionOrderReplays(t *testing.T) {
+	run := func() (string, sim.Stats) {
+		k := sim.NewKernel()
+		defer k.Close()
+		n := NewNetwork(k)
+		shared := []*Link{
+			n.NewLink("s0", 3e9, sim.Microsecond),
+			n.NewLink("s1", 7.3e9, sim.Microsecond),
+			n.NewLink("s2", 1.1e10, sim.Microsecond),
+		}
+		var trace strings.Builder
+		for i := 0; i < 36; i++ {
+			i := i
+			own := n.NewLink(fmt.Sprintf("own%d", i), 1.7e9*float64(1+i%3), sim.Microsecond)
+			maxRate := 0.0
+			if i%7 == 0 {
+				maxRate = 4.1e8
+			}
+			f := n.StartFlow([]*Link{own, shared[i%3], shared[(i/3)%3]}, 1e9*float64(1+i%2), maxRate)
+			f.Done().OnDone(func(struct{}) { fmt.Fprintf(&trace, "%d@%d ", i, k.Now()) })
+		}
+		k.Run()
+		return trace.String(), k.Stats()
+	}
+	trace0, stats0 := run()
+	for r := 1; r < 16; r++ {
+		trace, stats := run()
+		if trace != trace0 {
+			t.Fatalf("rerun %d completion order differs:\n%s\nvs\n%s", r, trace0, trace)
+		}
+		if stats != stats0 {
+			t.Fatalf("rerun %d kernel stats differ: %+v vs %+v", r, stats0, stats)
+		}
 	}
 }

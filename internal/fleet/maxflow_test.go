@@ -195,7 +195,7 @@ func TestSeqPolicyValidate(t *testing.T) {
 // batch on every candidate. naive replicates that re-pricer against the
 // same batchTime, so the comparison isolates the memoization.
 // Wall-clock assertions are machine-sensitive, so the guard runs only
-// when NINJA_PERF=1 (scripts/bench.sh sets it).
+// when NINJA_PERF=1 is set by hand; no script sets it.
 func TestPlanSequenceMemoizedCost(t *testing.T) {
 	if os.Getenv("NINJA_PERF") != "1" {
 		t.Skip("set NINJA_PERF=1 to run the wall-clock perf guard")

@@ -11,12 +11,11 @@ import (
 )
 
 // This file is the property-test lockdown of the degradation ladder: a
-// seeded fault-plan × mode matrix is run to completion on both kernel
-// backends, and every run must (a) terminate — the MPI app finishes all
-// iterations, no wedge, (b) land on exactly one ladder rung out of
-// {rdma-native, hotplug, tcp, rollback} with an internally consistent
-// Report, and (c) produce a byte-identical fingerprint on the heap and
-// wheel event queues.
+// seeded fault-plan × mode matrix is run to completion twice, and every
+// run must (a) terminate — the MPI app finishes all iterations, no wedge,
+// (b) land on exactly one ladder rung out of {rdma-native, hotplug, tcp,
+// rollback} with an internally consistent Report, and (c) produce a
+// byte-identical fingerprint, kernel event counts included, on the rerun.
 
 // ladderPlan is one cell of the matrix.
 type ladderPlan struct {
@@ -67,11 +66,11 @@ func ladderPlanFromSeed(seed int64) ladderPlan {
 	return pl
 }
 
-// ladderRun executes one cell on one backend and returns (fingerprint,
-// terminal rung). All single-run properties are asserted inside.
-func ladderRun(t *testing.T, pl ladderPlan, b sim.Backend) (string, RungMode) {
+// ladderRun executes one cell and returns (fingerprint, terminal rung).
+// All single-run properties are asserted inside.
+func ladderRun(t *testing.T, pl ladderPlan) (string, RungMode) {
 	t.Helper()
-	r := newRigBackend(t, b, pl.nVMs, 1, true)
+	r := newRig(t, pl.nVMs, 1, true)
 	if pl.policy {
 		pol := DefaultRetryPolicy()
 		r.orch.opts.Retry = &pol
@@ -139,11 +138,11 @@ func ladderRun(t *testing.T, pl ladderPlan, b sim.Backend) (string, RungMode) {
 	// Property 1 — no wedge: the kernel drained and every rank finished
 	// every iteration, migration failed or not.
 	if !app.Done() {
-		t.Errorf("%s/%s: app wedged", pl.name, b)
+		t.Errorf("%s: app wedged", pl.name)
 	}
 	for rk, n := range r.iters {
 		if n != iters {
-			t.Errorf("%s/%s: rank %d completed %d/%d iterations", pl.name, b, rk, n, iters)
+			t.Errorf("%s: rank %d completed %d/%d iterations", pl.name, rk, n, iters)
 		}
 	}
 
@@ -152,10 +151,10 @@ func ladderRun(t *testing.T, pl ladderPlan, b sim.Backend) (string, RungMode) {
 	switch rep.Mode {
 	case ModeRDMANative, ModeHotplug, ModeTCP, ModeRollback:
 	default:
-		t.Errorf("%s/%s: terminal rung %q not on the ladder", pl.name, b, rep.Mode)
+		t.Errorf("%s: terminal rung %q not on the ladder", pl.name, rep.Mode)
 	}
 	if migErr != nil && rep.Mode != ModeRollback {
-		t.Errorf("%s/%s: failed run (%v) on rung %q, want rollback", pl.name, b, migErr, rep.Mode)
+		t.Errorf("%s: failed run (%v) on rung %q, want rollback", pl.name, migErr, rep.Mode)
 	}
 
 	// Property 3 — Report consistency: no negative spans, components do not
@@ -171,30 +170,30 @@ func ladderRun(t *testing.T, pl ladderPlan, b sim.Backend) (string, RungMode) {
 	var sum sim.Time
 	for _, s := range spans {
 		if s.v < 0 {
-			t.Errorf("%s/%s: %s = %v, negative", pl.name, b, s.name, s.v)
+			t.Errorf("%s: %s = %v, negative", pl.name, s.name, s.v)
 		}
 		if s.name != "total" {
 			sum += s.v
 		}
 	}
 	if sum > rep.Total {
-		t.Errorf("%s/%s: component sum %v exceeds total %v", pl.name, b, sum, rep.Total)
+		t.Errorf("%s: component sum %v exceeds total %v", pl.name, sum, rep.Total)
 	}
 	if rep.RDMADemoted < 0 || rep.RDMADemoted > pl.nVMs {
-		t.Errorf("%s/%s: RDMADemoted = %d with %d VMs", pl.name, b, rep.RDMADemoted, pl.nVMs)
+		t.Errorf("%s: RDMADemoted = %d with %d VMs", pl.name, rep.RDMADemoted, pl.nVMs)
 	}
 	if rep.DegradedToTCP < 0 || rep.DegradedToTCP > pl.nVMs {
-		t.Errorf("%s/%s: DegradedToTCP = %d with %d VMs", pl.name, b, rep.DegradedToTCP, pl.nVMs)
+		t.Errorf("%s: DegradedToTCP = %d with %d VMs", pl.name, rep.DegradedToTCP, pl.nVMs)
 	}
 	if rep.Mode == ModeRDMANative {
 		if rep.RDMADemoted != 0 || rep.Detach != 0 || rep.Attach != 0 {
-			t.Errorf("%s/%s: rdma-native rung with demoted=%d detach=%v attach=%v",
-				pl.name, b, rep.RDMADemoted, rep.Detach, rep.Attach)
+			t.Errorf("%s: rdma-native rung with demoted=%d detach=%v attach=%v",
+				pl.name, rep.RDMADemoted, rep.Detach, rep.Attach)
 		}
 	}
 
 	// Fingerprint: everything observable about the run, rendered to a
-	// string. Compared byte-for-byte across backends.
+	// string. Compared byte-for-byte across reruns.
 	var fp strings.Builder
 	fmt.Fprintf(&fp, "mode=%s outcome=%s err=%v demoted=%d retries=%d spares=%d degraded=%d\n",
 		rep.Mode, rep.Outcome, migErr, rep.RDMADemoted, rep.Retries, rep.SparesUsed, rep.DegradedToTCP)
@@ -207,12 +206,12 @@ func ladderRun(t *testing.T, pl ladderPlan, b sim.Backend) (string, RungMode) {
 		name, _ := r.job.Rank(0).TransportTo(1)
 		fmt.Fprintf(&fp, "transport=%s", name)
 	}
-	fmt.Fprintf(&fp, " end=%v\n", r.k.Now())
+	fmt.Fprintf(&fp, " end=%v stats=%+v\n", r.k.Now(), r.k.Stats())
 	return fp.String(), rep.Mode
 }
 
 // TestLadderPropertyMatrix runs four hand-picked cells that pin one rung
-// each, plus a seeded random sweep, on both backends.
+// each, plus a seeded random sweep, each run twice.
 func TestLadderPropertyMatrix(t *testing.T) {
 	plans := []ladderPlan{
 		{name: "pin-rdma-native", nVMs: 2, mode: 0, dst: 0, policy: true, fault: ladderFaultNone},
@@ -228,10 +227,10 @@ func TestLadderPropertyMatrix(t *testing.T) {
 	for _, pl := range plans {
 		pl := pl
 		t.Run(pl.name, func(t *testing.T) {
-			fpHeap, rung := ladderRun(t, pl, sim.BackendHeap)
-			fpWheel, _ := ladderRun(t, pl, sim.BackendWheel)
-			if fpHeap != fpWheel {
-				t.Errorf("backend fingerprints diverge:\nheap:  %swheel: %s", fpHeap, fpWheel)
+			fp1, rung := ladderRun(t, pl)
+			fp2, _ := ladderRun(t, pl)
+			if fp1 != fp2 {
+				t.Errorf("rerun fingerprints diverge:\nrun 1: %srun 2: %s", fp1, fp2)
 			}
 			seen[rung] = pl.name
 		})

@@ -27,14 +27,7 @@ type rig struct {
 
 func newRig(t *testing.T, nVMs, ranksPerVM int, clr bool) *rig {
 	t.Helper()
-	return newRigBackend(t, sim.BackendHeap, nVMs, ranksPerVM, clr)
-}
-
-// newRigBackend is newRig on an explicit kernel backend — the ladder
-// property test runs every case on both backends and compares fingerprints.
-func newRigBackend(t *testing.T, b sim.Backend, nVMs, ranksPerVM int, clr bool) *rig {
-	t.Helper()
-	k := sim.NewKernelWith(sim.Options{Backend: b})
+	k := sim.NewKernel()
 	tb, ibc, ethc := hw.NewAGC(k)
 	nfs := storage.NewNFS("nfs0")
 	nfs.MountAll(ibc, ethc)

@@ -1,35 +1,10 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Logger receives kernel trace output when tracing is enabled.
 type Logger interface {
 	Logf(format string, args ...any)
-}
-
-// Backend names an event-queue implementation for the kernel.
-type Backend string
-
-const (
-	// BackendHeap is the default binary-heap event queue: O(log n)
-	// Schedule and Cancel, a fresh event struct per Schedule. It is the
-	// reference implementation the timer wheel is validated against.
-	BackendHeap Backend = "heap"
-	// BackendWheel is a hierarchical timer wheel: O(1) Schedule and
-	// Cancel with pooled event structs. Semantically identical to the
-	// heap (same (time, seq) execution order); faster and allocation-lean
-	// at fleet scale. See wheel.go.
-	BackendWheel Backend = "wheel"
-)
-
-// Options configures a kernel built with NewKernelWith.
-type Options struct {
-	// Backend selects the event-queue implementation. Empty means
-	// BackendHeap.
-	Backend Backend
 }
 
 // Stats counts scheduler activity since kernel creation.
@@ -55,7 +30,7 @@ type event struct {
 	seq   uint64
 	fn    func()
 	k     *Kernel
-	index int    // heap/overflow position; -1 once popped or removed
+	index int    // overflow-heap position; -1 once popped or removed
 	next  *event // wheel slot chain / ready chain / free list
 	prev  *event // wheel slot chain (doubly linked for O(1) cancel)
 	state uint8
@@ -66,7 +41,7 @@ type event struct {
 // Event is a cheap value handle to a scheduled event, usable to cancel it.
 // The zero Event refers to no event: Cancel is a no-op and Pending reports
 // false. Handles stay valid (as inert no-ops) after the event fires, even
-// though the backend may recycle the underlying struct.
+// though the queue may recycle the underlying struct.
 type Event struct {
 	ev  *event
 	seq uint64
@@ -80,7 +55,8 @@ func (e Event) Cancel() bool {
 		return false
 	}
 	ev.k.cancelled++
-	return ev.k.q.cancel(ev)
+	ev.k.q.cancel(ev)
+	return true
 }
 
 // Pending reports whether the event is still queued.
@@ -88,91 +64,13 @@ func (e Event) Pending() bool {
 	return e.ev != nil && e.ev.seq == e.seq && e.ev.state == statePending
 }
 
-// eventQueue is the kernel's pluggable event-queue backend. Implementations
-// must execute events in strict (at, seq) order and never hand back a
-// cancelled event.
-type eventQueue interface {
-	// alloc returns a blank event struct, recycled if the backend pools.
-	alloc() *event
-	// schedule enqueues ev (at, seq, fn, k, state already set).
-	schedule(ev *event)
-	// cancel removes a pending event; reports whether it did.
-	cancel(ev *event) bool
-	// pop removes and returns the earliest pending event with at <= limit,
-	// or nil if there is none.
-	pop(limit Time) *event
-	// release returns a fired event for recycling (no-op if unpooled).
-	release(ev *event)
-	// len reports the number of pending (non-cancelled) events.
-	len() int
-	// clear discards all queued events and pooled memory.
-	clear()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// heapQueue is the baseline backend: a plain binary heap, one event
-// allocation per Schedule, eager removal on Cancel.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) alloc() *event      { return &event{} }
-func (q *heapQueue) schedule(ev *event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) cancel(ev *event) bool {
-	heap.Remove(&q.h, ev.index)
-	ev.state = stateCancelled
-	ev.fn = nil
-	return true
-}
-
-func (q *heapQueue) pop(limit Time) *event {
-	if len(q.h) == 0 || q.h[0].at > limit {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) release(*event) {}
-func (q *heapQueue) len() int       { return len(q.h) }
-func (q *heapQueue) clear()         { q.h = nil }
-
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
 // concurrent use from multiple OS-level goroutines except through the
 // Proc handoff protocol it manages itself.
 type Kernel struct {
 	now       Time
 	seq       uint64
-	q         eventQueue
-	backend   Backend
+	q         wheelQueue
 	scheduled uint64
 	executed  uint64
 	cancelled uint64
@@ -185,34 +83,13 @@ type Kernel struct {
 	closed    bool
 }
 
-// NewKernel returns a heap-backed kernel with the clock at the epoch.
-func NewKernel() *Kernel { return NewKernelWith(Options{}) }
-
-// NewKernelWith returns a kernel with the clock at the epoch, using the
-// event-queue backend selected by opts. An unknown backend panics.
-func NewKernelWith(opts Options) *Kernel {
-	b := opts.Backend
-	if b == "" {
-		b = BackendHeap
+// NewKernel returns a kernel with the clock at the epoch.
+func NewKernel() *Kernel {
+	return &Kernel{
+		yield: make(chan struct{}),
+		procs: make(map[*Proc]struct{}),
 	}
-	k := &Kernel{
-		backend: b,
-		yield:   make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
-	}
-	switch b {
-	case BackendHeap:
-		k.q = &heapQueue{}
-	case BackendWheel:
-		k.q = &wheelQueue{}
-	default:
-		panic(fmt.Sprintf("sim: unknown kernel backend %q", b))
-	}
-	return k
 }
-
-// Backend reports which event-queue backend the kernel runs on.
-func (k *Kernel) Backend() Backend { return k.backend }
 
 // Stats returns scheduler activity counters (for profiling and the
 // events/sec benchmarks).
@@ -301,7 +178,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		fn := ev.fn
 		ev.fn = nil
 		ev.state = stateFired
-		k.q.release(ev)
+		k.q.freeEvent(ev)
 		k.executed++
 		fn()
 		if k.failure != nil {
@@ -317,10 +194,10 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 }
 
 // Idle reports whether no events are queued.
-func (k *Kernel) Idle() bool { return k.q.len() == 0 }
+func (k *Kernel) Idle() bool { return k.q.n == 0 }
 
 // PendingEvents returns the number of queued events.
-func (k *Kernel) PendingEvents() int { return k.q.len() }
+func (k *Kernel) PendingEvents() int { return k.q.n }
 
 // LiveProcs returns the number of processes that have been started and have
 // not yet exited (including parked ones).

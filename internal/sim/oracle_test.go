@@ -7,12 +7,12 @@ import (
 )
 
 // The kernel oracle: a randomized schedule/cancel/RunUntil program is run
-// against a naive sorted-slice reference executor and against real kernels
-// on every backend, and the full execution traces must be identical. This
-// is the license to refactor the event-queue hot path freely.
+// against a naive sorted-slice reference executor and against the real
+// kernel, and the full execution traces must be identical. This is the
+// license to refactor the event-queue hot path freely.
 
 // oracleEngine abstracts the scheduler under test so the same seeded
-// program can drive the reference executor and real kernels.
+// program can drive the reference executor and the real kernel.
 type oracleEngine interface {
 	now() Time
 	pending() int
@@ -195,37 +195,33 @@ func TestKernelOracle(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := oracleProgram(seed, &refEngine{})
-			for _, b := range []Backend{BackendHeap, BackendWheel} {
-				k := NewKernelWith(Options{Backend: b})
-				got := oracleProgram(seed, &kernelEngine{k: k})
-				diffTrace(t, string(b), ref, got)
-				if !k.Idle() {
-					t.Fatalf("%s: kernel not idle after Run", b)
-				}
-				k.Close()
+			k := NewKernel()
+			defer k.Close()
+			diffTrace(t, "kernel", ref, oracleProgram(seed, &kernelEngine{k: k}))
+			if !k.Idle() {
+				t.Fatal("kernel not idle after Run")
 			}
 		})
 	}
 }
 
-// TestKernelBackendsAgreeDense floods a narrow time range so level-0 slots,
+// TestKernelOracleDense floods a narrow time range so level-0 slots,
 // ready-chain ordering, and pooled-event recycling are all stressed with
 // heavy same-instant collisions.
-func TestKernelBackendsAgreeDense(t *testing.T) {
-	run := func(b Backend) []string {
-		k := NewKernelWith(Options{Backend: b})
-		defer k.Close()
+func TestKernelOracleDense(t *testing.T) {
+	run := func(eng oracleEngine) []string {
 		rng := rand.New(rand.NewSource(7))
 		var trace []string
 		for i := 0; i < 500; i++ {
 			id := i
-			at := Time(rng.Int63n(97))
-			k.Schedule(at, func() {
-				trace = append(trace, fmt.Sprintf("%d@%d", id, k.Now()))
+			eng.schedule(Time(rng.Int63n(97)), func() {
+				trace = append(trace, fmt.Sprintf("%d@%d", id, eng.now()))
 			})
 		}
-		k.Run()
+		eng.run()
 		return trace
 	}
-	diffTrace(t, "dense", run(BackendHeap), run(BackendWheel))
+	k := NewKernel()
+	defer k.Close()
+	diffTrace(t, "dense", run(&refEngine{}), run(&kernelEngine{k: k}))
 }

@@ -23,8 +23,8 @@ import (
 // lowest level whose slot width covers its distance from the cursor, so a
 // level-l slot, at the moment the cursor enters its window, only holds
 // events that still need l more levels of cascading. The oracle test
-// (oracle_test.go) checks trace-identical execution against both the heap
-// backend and a naive sorted-slice executor.
+// (oracle_test.go) checks trace-identical execution against a naive
+// sorted-slice executor.
 const (
 	wheelBits     = 6
 	wheelSlots    = 1 << wheelBits // 64
@@ -51,6 +51,7 @@ type wheelQueue struct {
 	free     *event              // event struct pool
 }
 
+// alloc returns a blank event struct, recycled from the pool if it can.
 func (q *wheelQueue) alloc() *event {
 	if ev := q.free; ev != nil {
 		q.free = ev.next
@@ -122,7 +123,8 @@ func (q *wheelQueue) unlink(ev *event) {
 	ev.next = nil
 }
 
-func (q *wheelQueue) cancel(ev *event) bool {
+// cancel removes a pending event.
+func (q *wheelQueue) cancel(ev *event) {
 	q.n--
 	switch {
 	case ev.lvl < wheelLevels:
@@ -136,9 +138,10 @@ func (q *wheelQueue) cancel(ev *event) bool {
 		ev.state = stateCancelled
 		ev.fn = nil
 	}
-	return true
 }
 
+// pop removes and returns the earliest pending event with at <= limit, or
+// nil if there is none.
 func (q *wheelQueue) pop(limit Time) *event {
 	for {
 		// Serve the already-extracted exact-time batch first.
@@ -289,10 +292,37 @@ func (q *wheelQueue) pushReady(ev *event) {
 	p.next = ev
 }
 
-func (q *wheelQueue) release(ev *event) { q.freeEvent(ev) }
-
-func (q *wheelQueue) len() int { return q.n }
-
 func (q *wheelQueue) clear() {
 	*q = wheelQueue{}
+}
+
+// eventHeap is a (at, seq)-ordered binary heap of events; the timer
+// wheel keeps its overflow level in one.
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*h)
+	*h = append(*h, ev)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.index = -1
+	*h = old[:n-1]
+	return ev
 }

@@ -1,18 +1,18 @@
 #!/bin/sh
 # Bench-regression gate: runs the paper benchmarks at -benchtime 1x and
-# compares every deterministic sim-* metric — plus the farm-* Monte Carlo
-# sweep aggregates, churn-* policy costs, seq-* sequencer predictions and
-# rdma-* QP-replay ladder observables —
-# against the committed baseline (scripts/bench_baseline.json) via
-# cmd/benchdiff. Wall-clock metrics (ns/op, events/sec, runs/sec) are
-# informational only and never compared.
+# compares every deterministic metric against the committed baseline
+# (scripts/bench_baseline.json) via cmd/benchdiff. One rule picks the
+# gated metrics: a unit containing "/" (ns/op, B/op, allocs/op,
+# events/sec, runs/sec, events/op, ...) is wall-clock or informational and
+# never compared; every other unit (sim-*, farm-*, churn-*, seq-*,
+# rdma-*, ...) is a simulated observable and is gated.
 #
 # Usage:
 #   scripts/bench.sh            # full suite; writes BENCH_<date>.json
 #   scripts/bench.sh --smoke    # fast subset (Table 2 / Fig 6 / ablations)
 #   scripts/bench.sh --update   # intentionally re-baseline after a change
 #
-# Exits non-zero if any sim-*/farm-* metric drifts beyond 1e-6 relative.
+# Exits non-zero if any gated metric drifts beyond 1e-6 relative.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -15,9 +15,8 @@ go vet ./...
 go test -race ./...
 # Smoke the fleet control plane end to end (small fleet, ~1 s). The
 # matrix includes the rolling-maintenance drain and the bidirectional
-# return-home rows. Exercise both kernel backends.
+# return-home rows.
 go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 >/dev/null
-go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 -kernel=wheel >/dev/null
 # ...and the time-expanded max-flow sequencing matrix (the alternate
 # planner drives the same executor through merged rounds).
 go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 -fleet-seq=maxflow >/dev/null
