@@ -464,7 +464,7 @@ func BenchmarkFleetScale8(b *testing.B)   { fleetScaleBench(b, 8) }
 func BenchmarkFleetScale32(b *testing.B)  { fleetScaleBench(b, 32) }
 func BenchmarkFleetScale128(b *testing.B) { fleetScaleBench(b, 128) }
 
-// BenchmarkFarmSweep runs a small Monte Carlo sweep (3 directives × 3
+// BenchmarkFarmSweep runs a small Monte Carlo sweep (4 directives × 3
 // fault plans × 2 seeds, 2-job fleets) through the simfarm worker pool and
 // reports the per-row p50 makespans plus the failure count as farm-*
 // metrics. These are percentiles of seeded simulations — deterministic at
@@ -501,12 +501,12 @@ func BenchmarkChurnPolicies(b *testing.B) {
 	var rows []experiments.ChurnRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.ExtChurnMatrix(experiments.ChurnConfig{})
+		rows, err = experiments.ExtChurnMatrix(context.Background(), experiments.ChurnConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	slugs := []string{"greedy", "swap", "greedy-crash", "swap-crash", "swap-maxflow", "swap-maxflow-crash"}
+	slugs := []string{"greedy", "swap", "greedy-crash", "swap-crash"}
 	for i, r := range rows {
 		b.ReportMetric(r.CostIntegral, "churn-cost-"+slugs[i]+"-pts")
 		b.ReportMetric(float64(r.SwapMigs+r.FaultMigs), "churn-migs-"+slugs[i])

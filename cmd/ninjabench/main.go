@@ -11,9 +11,10 @@
 //	ninjabench -run=ext-fleet -fleet-seq=maxflow          # max-flow rounds vs the capped LPT rows
 //	ninjabench -run=ext-churn -churn-jobs=64              # online churn: greedy vs destination-swap
 //	ninjabench -run=ext-sweep -sweep-seeds=32             # Monte Carlo fault sweep
-//	ninjabench -run=ext-sweep -sweep-par=8 -sweep-jobs=2  # fixed worker count
 //	ninjabench -run=table2,ext-fleet -json results.json
 //	ninjabench -run=ext-fleet -cpuprofile fleet.pprof
+//	ninjabench -spec '{"kind":"rolling-maintenance","max_in_flight":3}'  # one ninjad directive
+//	ninjabench -spec '{"kind":"sweep","seeds":8,"parallelism":8}'        # fixed worker count
 package main
 
 import (
@@ -31,7 +32,9 @@ import (
 	"syscall"
 
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/simfarm"
 )
 
@@ -50,13 +53,12 @@ func run(ctx context.Context) int {
 	run := flag.String("run", "all", "comma-separated: table1,table2,fig6,fig7,fig8a,fig8b,ext-faults,ext-rdma,ext-fleet,ext-churn,ext-sweep or 'all'")
 	scale := flag.Float64("scale", 1.0, "iteration scale for fig7 (1.0 = full class D)")
 	fleetJobs := flag.Int("fleet-jobs", 0, "fleet size for ext-fleet (0 = default 8-job evacuation)")
-	drainCap := flag.Int("fleet-drain-cap", 0, "jobs-in-flight cap per rolling-maintenance mini-plan (0 = default 2)")
 	fleetSeq := flag.String("fleet-seq", "", "sequencing mode for ext-fleet: lpt (default) or maxflow (time-expanded max-flow rounds)")
 	churnJobs := flag.Int("churn-jobs", 0, "arrival count for ext-churn (0 = default 64 jobs)")
 	churnSeed := flag.Int64("churn-seed", 0, "workload seed for ext-churn")
-	sweepSeeds := flag.Int("sweep-seeds", 32, "seeds per matrix row for ext-sweep")
-	sweepPar := flag.Int("sweep-par", 0, "worker count for ext-sweep (0 = run at 1 and 8, verify byte-identical summaries, report speedup)")
+	sweepSeeds := flag.Int("sweep-seeds", 32, "seeds per matrix row for ext-sweep (run at parallelism 1 and 8, summaries checked byte-identical)")
 	sweepJobs := flag.Int("sweep-jobs", 0, "fleet size per ext-sweep cell (0 = default 4 jobs)")
+	spec := flag.String("spec", "", "run this JSON directive (a ninjad POST /jobs directive) and print its result instead of -run")
 	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the selected runs) to this file")
@@ -90,11 +92,13 @@ func run(ctx context.Context) int {
 		}()
 	}
 
-	switch *fleetSeq {
-	case "", "lpt", "maxflow":
-	default:
-		fmt.Fprintf(os.Stderr, "ninjabench: unknown -fleet-seq %q (want lpt or maxflow)\n", *fleetSeq)
-		os.Exit(1)
+	if *spec != "" {
+		return runSpec(ctx, *spec)
+	}
+
+	if err := (fleet.SeqPolicy{Mode: *fleetSeq}).Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ninjabench: -fleet-seq: %v\n", err)
+		return 1
 	}
 
 	fail := func(id string, err error) {
@@ -205,8 +209,7 @@ func run(ctx context.Context) int {
 		emit(experiments.ExtRDMARender(rows))
 	}
 	if want["ext-fleet"] && ctx.Err() == nil {
-		rows, err := experiments.ExtFleetMatrixCtx(ctx,
-			experiments.FleetConfig{Jobs: *fleetJobs, DrainCap: *drainCap, SeqMode: *fleetSeq})
+		rows, err := experiments.ExtFleetMatrix(ctx, experiments.FleetConfig{Jobs: *fleetJobs}, *fleetSeq)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fail("ext-fleet", err)
 		}
@@ -217,7 +220,7 @@ func run(ctx context.Context) int {
 		var cfg experiments.ChurnConfig
 		cfg.Workload.Jobs = *churnJobs
 		cfg.Workload.Seed = *churnSeed
-		rows, err := experiments.ExtChurnMatrixCtx(ctx, cfg)
+		rows, err := experiments.ExtChurnMatrix(ctx, cfg)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fail("ext-churn", err)
 		}
@@ -225,7 +228,7 @@ func run(ctx context.Context) int {
 	}
 
 	if want["ext-sweep"] && ctx.Err() == nil {
-		tbl, err := runSweep(ctx, *sweepJobs, *sweepSeeds, *sweepPar)
+		tbl, err := runSweep(ctx, *sweepJobs, *sweepSeeds)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fail("ext-sweep", err)
 		}
@@ -251,11 +254,24 @@ func run(ctx context.Context) int {
 	return 0
 }
 
-// runSweep runs the default Monte Carlo matrix. With par > 0 it runs once
-// at that worker count; with par = 0 it runs the same matrix at
-// parallelism 1 and 8, verifies the two summaries are byte-identical (the
-// farm's core determinism claim), and reports the wall-clock speedup.
-func runSweep(ctx context.Context, jobs, seeds, par int) (*metrics.Table, error) {
+// runSpec decodes one directive, runs it and prints the result bytes.
+func runSpec(ctx context.Context, body string) int {
+	spec, err := scenario.Decode([]byte(body))
+	if err == nil {
+		var out []byte
+		if out, err = scenario.Run(ctx, spec, nil); err == nil {
+			fmt.Printf("%s\n", out)
+			return 0
+		}
+	}
+	fmt.Fprintf(os.Stderr, "ninjabench: -spec: %v\n", err)
+	return 1
+}
+
+// runSweep runs the default Monte Carlo matrix at parallelism 1 and 8,
+// verifies the two summaries are byte-identical (the farm's core
+// determinism claim), and reports the wall-clock speedup.
+func runSweep(ctx context.Context, jobs, seeds int) (*metrics.Table, error) {
 	m := simfarm.DefaultMatrix(jobs, seeds)
 	fmt.Printf("ext-sweep: %d directive(s) × %d plan(s) × %d seed(s) = %d run(s)\n",
 		len(m.Directives), len(m.Plans), m.Seeds.Count, m.Runs())
@@ -271,14 +287,6 @@ func runSweep(ctx context.Context, jobs, seeds, par int) (*metrics.Table, error)
 				res.Wall.Parallelism, res.Summary.Runs, res.Wall.Elapsed.Seconds(), res.Wall.RunsPerSec)
 		}
 		return res, err
-	}
-
-	if par > 0 {
-		res, err := runOnce(par)
-		if res == nil {
-			return nil, err
-		}
-		return res.Summary.Render(), err
 	}
 
 	seq, err := runOnce(1)

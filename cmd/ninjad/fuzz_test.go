@@ -3,49 +3,97 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
+
+	"repro/internal/jobs"
+	"repro/internal/scenario"
 )
 
-// FuzzParseSpec feeds arbitrary bodies to parseSpec, the first code to
-// read an untrusted POST /jobs directive. Properties: parseSpec never
-// panics; it accepts only a body that is exactly one JSON object;
-// sweepMatrix never panics on an accepted spec; and an accepted spec
-// re-marshals to a body that is accepted again and maps onto the
-// same experiment — equal scenario() results, or equal sweepMatrix()
-// results for a sweep. The seed corpus (testdata/fuzz/FuzzParseSpec)
-// holds every directive the server tests send, the churn and evacuate
-// shapes the benchmark's daemon workload posts, a few more sweep and
-// evacuate shapes, and past failures.
-func FuzzParseSpec(f *testing.F) {
+// FuzzSubmit feeds arbitrary POST /jobs bodies to handleSubmit on a
+// daemon over a temporary state directory whose workers are never
+// started, so accepted jobs are persisted but not run. Properties: the
+// handler never panics and never answers 5xx; it answers 200/201 only
+// when the id is empty or jobs.ValidID and scenario.Decode accepts the
+// directive; and a refused body persists no record, in memory or on
+// disk. The seed corpus is every body the server tests, the ninjad smoke
+// script and the benchmark's daemon workload send.
+func FuzzSubmit(f *testing.F) {
+	for _, directive := range []string{
+		smallSpec,
+		`{"kind":"evacuate","jobs":2,"vms_per_job":1}`,
+		`{"kind":"sweep","jobs":2,"seeds":2,"parallelism":4}`,
+		`{"kind":"churn","placement":"swap","jobs":16,"seed":7,"faulted":true}`,
+		`{"kind":"sweep","matrix":"churn","jobs":8,"seeds":2,"fault_plans":["node-crash"],"parallelism":4}`,
+		`{"kind":"churn","jobs":32,"seed":1298498081,"placement":"greedy","faulted":false}`,
+		`{"kind":"churn","jobs":32,"seed":2019727887,"placement":"swap","faulted":true}`,
+		`{"kind":"evacuate","jobs":2,"placement":"greedy","batched":true,"cap":1,"mode":"live"}`,
+		`{"kind":"evacuate","jobs":2,"placement":"swap","batched":true,"cap":2,"mode":"rdma"}`,
+		`{"kind":"consolidate"}`,
+		`null`,
+	} {
+		f.Add([]byte(fmt.Sprintf(`{"id":"seed-1","directive":%s}`, directive)))
+		f.Add([]byte(fmt.Sprintf(`{"directive":%s}`, directive)))
+	}
+	for _, body := range []string{
+		`{nope`,
+		`{"id":"x"}`,
+		`{"id":"x","directive":{},"extra":1}`,
+		`{"id":"x","directive":{}} {}`,
+		`{"id":"../x","directive":{}}`,
+		`{"ID":"Case","Directive":{"KIND":"churn"}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	dir := f.TempDir()
+	mgr, err := jobs.New(jobs.Config{Dir: dir, Handler: runJob, Logf: func(string, ...any) {}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(mgr.Abandon)
+	d := &daemon{mgr: mgr, logf: func(string, ...any) {}}
+
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spec, err := parseSpec(json.RawMessage(body))
-		if err != nil {
-			return
+		before := len(mgr.List())
+		files := countFiles(t, dir)
+		rr := httptest.NewRecorder()
+		d.handleSubmit(rr, httptest.NewRequest("POST", "/jobs", bytes.NewReader(body)))
+		if rr.Code >= 500 {
+			t.Fatalf("%q: status %d: %s", body, rr.Code, rr.Body)
 		}
-		if b := bytes.TrimSpace(body); !json.Valid(b) || b[0] != '{' {
-			t.Fatalf("accepted %q, which is not exactly one JSON object", body)
-		}
-		m1, err1 := spec.sweepMatrix()
-		again, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatalf("accepted %q but cannot re-marshal it: %v", body, err)
-		}
-		spec2, err := parseSpec(again)
-		if err != nil {
-			t.Fatalf("accepted %q but refused its re-marshalled form %s: %v", body, again, err)
-		}
-		if spec.Kind == "sweep" {
-			m2, err2 := spec2.sweepMatrix()
-			if err1 != nil || err2 != nil || !reflect.DeepEqual(m1, m2) {
-				t.Fatalf("%q and its re-marshalled form %s build different sweeps (errors %v, %v)", body, again, err1, err2)
+		if rr.Code == http.StatusOK || rr.Code == http.StatusCreated {
+			var req struct {
+				ID        string          `json:"id"`
+				Directive json.RawMessage `json:"directive"`
+			}
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("%q accepted (%d), but json.Unmarshal refuses it: %v", body, rr.Code, err)
+			}
+			if req.ID != "" && !jobs.ValidID(req.ID) {
+				t.Fatalf("%q accepted (%d) with invalid id %q", body, rr.Code, req.ID)
+			}
+			if _, err := scenario.Decode(req.Directive); err != nil {
+				t.Fatalf("%q accepted (%d), but scenario.Decode refuses its directive: %v", body, rr.Code, err)
 			}
 			return
 		}
-		cfg1, sc1 := spec.scenario()
-		cfg2, sc2 := spec2.scenario()
-		if !reflect.DeepEqual(cfg1, cfg2) || !reflect.DeepEqual(sc1, sc2) {
-			t.Fatalf("%q and its re-marshalled form %s map onto different scenarios", body, again)
+		if after := len(mgr.List()); after != before {
+			t.Fatalf("%q refused (%d) but the job count went %d → %d", body, rr.Code, before, after)
+		}
+		if after := countFiles(t, dir); after != files {
+			t.Fatalf("%q refused (%d) but the state directory went %d → %d files", body, rr.Code, files, after)
 		}
 	})
+}
+
+func countFiles(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
 // daemon ties the durable job manager to its HTTP surface.
@@ -40,7 +43,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	mgr, err := jobs.New(jobs.Config{
 		Dir:         cfg.StateDir,
-		Handler:     runDirective,
+		Handler:     runJob,
 		Workers:     cfg.Workers,
 		Lease:       cfg.Lease,
 		MaxAttempts: cfg.MaxAttempts,
@@ -119,6 +122,27 @@ func (d *daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// runJob is the jobs.Handler behind ninjad: it decodes the stored
+// directive (the record is the source of truth, not whatever was in
+// memory before a crash) and runs it with the trail streamed into the
+// job's event log. The result is a pure function of the directive, so a
+// job re-run after a crash commits the same bytes.
+func runJob(ctx context.Context, rec jobs.Record, emit func(jobs.Event)) (json.RawMessage, error) {
+	spec, err := scenario.Decode(rec.Directive)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Run(ctx, spec, func(ev metrics.Event) {
+		emit(jobs.Event{
+			Kind:    string(ev.Kind),
+			Phase:   ev.Phase,
+			Subject: ev.Subject,
+			Detail:  ev.Detail,
+			Sim:     ev.At.Seconds(),
+		})
+	})
+}
+
 // submitRequest wraps a directive with its optional client-supplied ID.
 type submitRequest struct {
 	// ID makes submission idempotent: re-POSTing the same ID+directive
@@ -128,6 +152,10 @@ type submitRequest struct {
 	Directive json.RawMessage `json:"directive"`
 }
 
+// handleSubmit refuses, before anything is persisted, an envelope with
+// unknown fields or trailing data and a directive scenario.Decode
+// refuses: a directive that cannot run must be turned away at the door,
+// not persisted and failed asynchronously.
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -135,17 +163,21 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("request body: %w", err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, errors.New("request body: trailing data after the JSON object"))
 		return
 	}
 	if len(req.Directive) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("request body: directive is required"))
 		return
 	}
-	// Validate before accepting: a directive that cannot parse must be
-	// refused at the door, not persisted and failed asynchronously.
-	if _, err := parseSpec(req.Directive); err != nil {
+	if _, err := scenario.Decode(req.Directive); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

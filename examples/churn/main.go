@@ -56,7 +56,7 @@ func main() {
 
 	// Leg 2: the full policy × fault matrix — the ninjabench ext-churn view.
 	fmt.Println("== policy × fault matrix ==")
-	matrix, err := experiments.ExtChurnMatrix(cfg)
+	matrix, err := experiments.ExtChurnMatrix(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

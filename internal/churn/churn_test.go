@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -160,8 +161,8 @@ func TestChurnConservation(t *testing.T) {
 		if rep.Departed+rep.Rejected != rep.Arrived {
 			t.Fatalf("%v: departed %d + rejected %d != arrived %d", pol, rep.Departed, rep.Rejected, rep.Arrived)
 		}
-		if rep.Placed > rep.Arrived {
-			t.Fatalf("%v: placed %d > arrived %d", pol, rep.Placed, rep.Arrived)
+		if rep.Placed+rep.Rejected != rep.Arrived {
+			t.Fatalf("%v: placed %d + rejected %d != arrived %d", pol, rep.Placed, rep.Rejected, rep.Arrived)
 		}
 	}
 }
@@ -185,6 +186,53 @@ func TestChurnNodeCrashEvictsAndReplaces(t *testing.T) {
 	if a.Departed+a.Rejected != a.Arrived {
 		t.Fatalf("faulted run leaked jobs: departed %d + rejected %d != arrived %d",
 			a.Departed, a.Rejected, a.Arrived)
+	}
+	if a.Placed+a.Rejected != a.Arrived {
+		t.Fatalf("faulted run counted jobs twice: placed %d + rejected %d != arrived %d",
+			a.Placed, a.Rejected, a.Arrived)
+	}
+}
+
+// A gang evicted by a node crash that then waits out its re-placement
+// deadline is rejected, not placed: it leaves Placed for Rejected, so
+// each arrival is counted once. Seeds 4 (swap) and 5 (greedy) with a
+// 120 s crash of ib-n00 at 30 s each reject at least one evicted gang.
+func TestChurnEvictedThenRejectedCountsOnce(t *testing.T) {
+	plan, err := faults.ParsePlan("node-crash@30s+120s:node=ib-n00")
+	if err != nil {
+		t.Fatalf("ParsePlan: %v", err)
+	}
+	for _, c := range []struct {
+		seed int64
+		pol  Policy
+	}{{4, PolicySwap}, {5, PolicyGreedy}} {
+		evicted := map[string]bool{}
+		evictedRejected := 0
+		rep, _ := runOnce(t, Options{
+			Workload: defaultWorkload(c.seed), Policy: c.pol, Faults: plan,
+			Log: func(format string, args ...any) {
+				var at, name, rest string
+				line := fmt.Sprintf(format, args...)
+				if _, err := fmt.Sscanf(line, "churn: %s job %s %s", &at, &name, &rest); err != nil {
+					return
+				}
+				switch rest {
+				case "evicted":
+					evicted[name] = true
+				case "rejected":
+					if evicted[name] {
+						evictedRejected++
+					}
+				}
+			},
+		})
+		if evictedRejected == 0 {
+			t.Fatalf("seed %d %v: no evicted gang missed its re-placement deadline; pick another seed", c.seed, c.pol)
+		}
+		if rep.Placed+rep.Rejected != rep.Arrived {
+			t.Errorf("seed %d %v: placed %d + rejected %d != arrived %d (%d evicted gangs rejected)",
+				c.seed, c.pol, rep.Placed, rep.Rejected, rep.Arrived, evictedRejected)
+		}
 	}
 }
 

@@ -221,13 +221,19 @@ func (e *Engine) enqueue(j *job) {
 	j.deadline = e.k.Schedule(e.opts.PlaceDeadline, func() { e.onDeadline(jj) })
 }
 
-// onDeadline rejects a job that waited out its placement deadline.
+// onDeadline rejects a job that waited out its placement deadline. A
+// job evicted by a node crash was counted as placed when it first
+// landed; rejecting it moves it from Placed to Rejected, so every
+// arrival is counted exactly once.
 func (e *Engine) onDeadline(j *job) {
 	if j.state != stateQueued {
 		return
 	}
 	e.removeQueued(j)
 	j.state = stateRejected
+	if j.evicted {
+		e.rep.Placed--
+	}
 	e.rep.Rejected++
 	e.logf("churn: %v job %s rejected after %v in queue", e.k.Now(), j.name, e.opts.PlaceDeadline)
 	e.checkDone()

@@ -20,6 +20,9 @@ type Report struct {
 	// or rejection (plus any trailing migration work).
 	Duration sim.Time `json:"duration_ns"`
 
+	// Every arrival ends up counted once, in Placed or in Rejected: a job
+	// evicted by a node crash that then misses its re-placement deadline
+	// leaves Placed for Rejected.
 	Arrived  int `json:"arrived"`
 	Placed   int `json:"placed"`
 	Rejected int `json:"rejected"` // placement-deadline misses

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -57,13 +58,12 @@ func TestExtFleetDeterminism(t *testing.T) {
 		t.Skip("multi-run fleet matrix is not short")
 	}
 	for _, seqMode := range []string{"", "maxflow"} {
-		cfg := FleetConfig{Jobs: 3, DrainCap: 2, SeqMode: seqMode}
 		run := func() (string, []sim.Stats) {
-			rows, err := ExtFleetMatrix(cfg)
+			rows, err := ExtFleetMatrix(context.Background(), FleetConfig{Jobs: 3}, seqMode)
 			if err != nil {
 				t.Fatalf("seq %q matrix: %v", seqMode, err)
 			}
-			if len(rows) != len(ExtFleetScenarios(cfg.DrainCap, cfg.SeqMode)) {
+			if len(rows) != len(ExtFleetScenarios(2, seqMode)) {
 				t.Fatalf("seq %q matrix: %d rows", seqMode, len(rows))
 			}
 			var stats []sim.Stats

@@ -23,22 +23,19 @@ import (
 
 // ChurnConfig shapes a churn deployment: a small IB site (first in
 // candidate order, so the greedy baseline burns its slots blindly) and
-// an Ethernet site, with a seeded arrival workload.
+// an Ethernet site, with a seeded arrival workload. Both sites hold
+// churnSlotsPerNode gangs per node behind wanBandwidthBps uplinks.
 type ChurnConfig struct {
 	// IBNodes / EthNodes size the two sites (defaults 4 and 4).
 	IBNodes  int
 	EthNodes int
-	// SlotsPerNode caps churn gangs per node (default 2).
-	SlotsPerNode int
-	// WANBandwidth is each site's uplink capacity (default 1.25e9 B/s).
-	WANBandwidth float64
-	// NFSBandwidth prices the shared storage server (0 = unpriced).
-	// Combined with ChurnScenario.Cold, re-placements contend on it.
-	NFSBandwidth float64
 	// Workload is the seeded arrival process; zero fields default as in
 	// churn.Workload (64 jobs, 0.5/s, exponential 120 s lifetimes).
 	Workload churn.Workload
 }
+
+// churnSlotsPerNode caps churn gangs per node.
+const churnSlotsPerNode = 2
 
 func (cfg ChurnConfig) withDefaults() ChurnConfig {
 	if cfg.IBNodes <= 0 {
@@ -46,12 +43,6 @@ func (cfg ChurnConfig) withDefaults() ChurnConfig {
 	}
 	if cfg.EthNodes <= 0 {
 		cfg.EthNodes = 4
-	}
-	if cfg.SlotsPerNode <= 0 {
-		cfg.SlotsPerNode = 2
-	}
-	if cfg.WANBandwidth == 0 {
-		cfg.WANBandwidth = 1.25e9
 	}
 	return cfg
 }
@@ -91,11 +82,9 @@ func DeployChurn(cfg ChurnConfig) *ChurnDeployment {
 	ethSpec.IBBandwidth = 0
 	eth := tb.AddCluster("churn-eth", cfg.EthNodes, ethSpec)
 	topo := fleet.NewTopology(
-		&fleet.Site{Name: "churn-ib", Nodes: ib.Nodes, SlotsPerNode: cfg.SlotsPerNode, WANBandwidth: cfg.WANBandwidth},
-		&fleet.Site{Name: "churn-eth", Nodes: eth.Nodes, SlotsPerNode: cfg.SlotsPerNode, WANBandwidth: cfg.WANBandwidth},
+		&fleet.Site{Name: "churn-ib", Nodes: ib.Nodes, SlotsPerNode: churnSlotsPerNode, WANBandwidth: wanBandwidthBps},
+		&fleet.Site{Name: "churn-eth", Nodes: eth.Nodes, SlotsPerNode: churnSlotsPerNode, WANBandwidth: wanBandwidthBps},
 	)
-	topo.NFSBandwidth = cfg.NFSBandwidth
-	topo.NFSName = "churn"
 	return &ChurnDeployment{K: k, Topo: topo}
 }
 
@@ -104,12 +93,6 @@ func DeployChurn(cfg ChurnConfig) *ChurnDeployment {
 type ChurnScenario struct {
 	// Policy selects greedy first-fit or adaptive destination-swap.
 	Policy churn.Policy
-	// MaxSwaps bounds corrective moves per arrival/departure event
-	// (0 = the churn default of 2).
-	MaxSwaps int
-	// Cold prices swap and re-placement migrations as checkpoint/restart
-	// through the shared NFS link (requires ChurnConfig.NFSBandwidth).
-	Cold bool
 	// Seq selects how mini-plan migrations overlap (zero value = the
 	// churn default, batched LPT). fleet.SeqMaxFlow routes every
 	// mini-plan through the time-expanded max-flow planner.
@@ -122,9 +105,6 @@ type ChurnScenario struct {
 // Label renders "destination-swap+plan:node-crash"-style identifiers.
 func (sc ChurnScenario) Label() string {
 	l := sc.Policy.String()
-	if sc.Cold {
-		l += "+cold"
-	}
 	if sc.Seq.Mode == fleet.SeqMaxFlow {
 		l += "+maxflow"
 	}
@@ -180,12 +160,10 @@ func RunChurnScenarioWith(cfg ChurnConfig, sc ChurnScenario, logf func(format st
 	d := DeployChurn(cfg)
 	defer d.K.Close()
 	opts := churn.Options{
-		Workload:         cfg.Workload,
-		Policy:           sc.Policy,
-		MaxSwapsPerEvent: sc.MaxSwaps,
-		Model:            fleet.CostModel{Cold: sc.Cold},
-		Seq:              sc.Seq,
-		Log:              logf,
+		Workload: cfg.Workload,
+		Policy:   sc.Policy,
+		Seq:      sc.Seq,
+		Log:      logf,
 	}
 	if sc.Faults != nil {
 		opts.Faults = *sc.Faults
@@ -233,29 +211,19 @@ func ChurnCrashPlan() *faults.Plan {
 }
 
 // ExtChurnScenarios is the policy × fault matrix: both policies fault
-// free, then both policies through the node-crash plan, then the
-// destination-swap policy with its mini-plans sequenced by the
-// time-expanded max-flow planner — fault free and through the crash.
+// free, then both policies through the node-crash plan.
 func ExtChurnScenarios() []ChurnScenario {
-	mf := fleet.SeqPolicy{Batched: true, Mode: fleet.SeqMaxFlow}
 	return []ChurnScenario{
 		{Policy: churn.PolicyGreedy},
 		{Policy: churn.PolicySwap},
 		{Policy: churn.PolicyGreedy, Faults: ChurnCrashPlan()},
 		{Policy: churn.PolicySwap, Faults: ChurnCrashPlan()},
-		{Policy: churn.PolicySwap, Seq: mf},
-		{Policy: churn.PolicySwap, Seq: mf, Faults: ChurnCrashPlan()},
 	}
 }
 
-// ExtChurnMatrix runs the full churn policy × fault matrix.
-func ExtChurnMatrix(cfg ChurnConfig) ([]ChurnRow, error) {
-	return ExtChurnMatrixCtx(context.Background(), cfg)
-}
-
-// ExtChurnMatrixCtx is ExtChurnMatrix with cooperative cancellation
+// ExtChurnMatrix runs the full churn policy × fault matrix, checking ctx
 // between scenarios.
-func ExtChurnMatrixCtx(ctx context.Context, cfg ChurnConfig) ([]ChurnRow, error) {
+func ExtChurnMatrix(ctx context.Context, cfg ChurnConfig) ([]ChurnRow, error) {
 	var rows []ChurnRow
 	for _, sc := range ExtChurnScenarios() {
 		if err := ctx.Err(); err != nil {

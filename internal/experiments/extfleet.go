@@ -25,7 +25,8 @@ import (
 // planned destination node crashes mid-directive and the control plane
 // replans the not-yet-started migrations.
 
-// FleetConfig shapes a fleet deployment.
+// FleetConfig shapes a fleet deployment. Every other dimension of the
+// testbed is fixed: see the constants below.
 type FleetConfig struct {
 	// Jobs is the number of independent MPI jobs (default 8). Jobs
 	// alternate IB-capable (VMM-bypass HCAs attached at boot, even
@@ -34,31 +35,28 @@ type FleetConfig struct {
 	// VMsPerJob is each job's gang size (default 2; one VM per node —
 	// a passthrough HCA cannot be shared between guests).
 	VMsPerJob int
-	// GuestMemGB is guest RAM per VM (default 4 — small guests keep the
-	// fleet-sized matrix tractable).
-	GuestMemGB float64
-	// DataGB is the per-VM workload region (default 1).
-	DataGB float64
-	// Spares is the count of dc1 standby nodes handed to the shared
-	// scheduler.Spares pool, outside the fleet placement (default 2).
-	Spares int
-	// WANBandwidth is every site's uplink circuit capacity (default
-	// 1.25e9 B/s, a 10 Gbit/s disaster-recovery circuit).
-	WANBandwidth float64
-	// AppIters is each job's iteration count; the apps must outlive the
-	// directive so late migrations still find ranks to quiesce
-	// (default 3000 × 0.2 s ≈ 600 s of compute).
-	AppIters int
-	// DrainCap is the rolling-maintenance jobs-in-flight cap per
-	// mini-plan (default 2).
-	DrainCap int
-	// SeqMode selects the matrix's sequencing algorithm: "" or "lpt"
-	// keeps the default LPT matrix (byte-stable across releases);
-	// "maxflow" swaps the batched rows for time-expanded max-flow rounds
-	// (fleet.SeqMaxFlow), keeping the capped LPT rows as the reference
-	// they are read against.
-	SeqMode string
 }
+
+const (
+	// fleetGuestMemGB is guest RAM per VM: small guests keep the
+	// fleet-sized matrix tractable.
+	fleetGuestMemGB = 4
+	// fleetDataGB is the per-VM workload region.
+	fleetDataGB = 1
+	// fleetSpares is the count of dc1 standby nodes handed to the shared
+	// scheduler.Spares pool, outside the fleet placement.
+	fleetSpares = 2
+	// wanBandwidthBps is every site's uplink circuit capacity, fleet and
+	// churn testbeds alike: a 10 Gbit/s disaster-recovery circuit.
+	wanBandwidthBps = 1.25e9
+	// fleetAppIters is each job's iteration count; the apps must outlive
+	// the directive so late migrations still find ranks to quiesce
+	// (3000 × 0.2 s ≈ 600 s of compute).
+	fleetAppIters = 3000
+	// fleetDrainCap is the matrix's rolling-maintenance jobs-in-flight cap
+	// per mini-plan.
+	fleetDrainCap = 2
+)
 
 func (cfg FleetConfig) withDefaults() FleetConfig {
 	if cfg.Jobs <= 0 {
@@ -66,26 +64,6 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	}
 	if cfg.VMsPerJob <= 0 {
 		cfg.VMsPerJob = 2
-	}
-	if cfg.GuestMemGB == 0 {
-		cfg.GuestMemGB = 4
-	}
-	if cfg.DataGB == 0 {
-		cfg.DataGB = 1
-	}
-	if cfg.Spares < 0 {
-		cfg.Spares = 0
-	} else if cfg.Spares == 0 {
-		cfg.Spares = 2
-	}
-	if cfg.WANBandwidth == 0 {
-		cfg.WANBandwidth = 1.25e9
-	}
-	if cfg.AppIters <= 0 {
-		cfg.AppIters = 3000
-	}
-	if cfg.DrainCap <= 0 {
-		cfg.DrainCap = 2
 	}
 	return cfg
 }
@@ -163,11 +141,11 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 	k := sim.NewKernel()
 	w := hw.NewWideArea(k, hw.WideAreaConfig{
 		Sites: []hw.SiteConfig{
-			{Nodes: nVMs, Spec: hw.AGCNodeSpec},               // dc0: IB source
-			{Nodes: ibDst + cfg.Spares, Spec: hw.AGCNodeSpec}, // dc1: scarce IB destination
-			{Nodes: nVMs, Spec: ethSpec},                      // dc2: Ethernet overflow
+			{Nodes: nVMs, Spec: hw.AGCNodeSpec},                // dc0: IB source
+			{Nodes: ibDst + fleetSpares, Spec: hw.AGCNodeSpec}, // dc1: scarce IB destination
+			{Nodes: nVMs, Spec: ethSpec},                       // dc2: Ethernet overflow
 		},
-		WANBandwidth: cfg.WANBandwidth,
+		WANBandwidth: wanBandwidthBps,
 		WANLatency:   10 * sim.Millisecond,
 	})
 	nfs := storage.NewNFS("wan-nfs")
@@ -175,9 +153,9 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 
 	d := &FleetDeployment{K: k, W: w, NFS: nfs}
 	dc1 := w.DCs[1].Cluster.Nodes
-	src := &fleet.Site{Name: "dc0", Nodes: w.DCs[0].Cluster.Nodes, WANBandwidth: cfg.WANBandwidth}
-	dst1 := &fleet.Site{Name: "dc1", Nodes: dc1[:ibDst], WANBandwidth: cfg.WANBandwidth}
-	dst2 := &fleet.Site{Name: "dc2", Nodes: w.DCs[2].Cluster.Nodes, WANBandwidth: cfg.WANBandwidth}
+	src := &fleet.Site{Name: "dc0", Nodes: w.DCs[0].Cluster.Nodes, WANBandwidth: wanBandwidthBps}
+	dst1 := &fleet.Site{Name: "dc1", Nodes: dc1[:ibDst], WANBandwidth: wanBandwidthBps}
+	dst2 := &fleet.Site{Name: "dc2", Nodes: w.DCs[2].Cluster.Nodes, WANBandwidth: wanBandwidthBps}
 	d.Topo = fleet.NewTopology(src, dst1, dst2)
 	d.Source = src
 	d.SpareNodes = dc1[ibDst:]
@@ -194,7 +172,7 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 			vm, err := vmm.New(k, node, w.Segment, vmm.Config{
 				Name:        fmt.Sprintf("j%02dv%02d", j, v),
 				VCPUs:       2,
-				MemoryBytes: cfg.GuestMemGB * hw.GB,
+				MemoryBytes: fleetGuestMemGB * hw.GB,
 			}, vmm.DefaultParams())
 			if err != nil {
 				return nil, err
@@ -205,7 +183,7 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 					return nil, err
 				}
 			}
-			if _, err := vm.Memory().AddRegion("data", cfg.DataGB*hw.GB, 0, 0); err != nil {
+			if _, err := vm.Memory().AddRegion("data", fleetDataGB*hw.GB, 0, 0); err != nil {
 				return nil, err
 			}
 			gang = append(gang, vm)
@@ -230,9 +208,8 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 			Orch:      ninja.New(job, ninja.Options{Retry: &pol, Spares: d.Spares}),
 			IBCapable: j%2 == 0,
 		})
-		iters := cfg.AppIters
 		d.Apps = append(d.Apps, job.Launch(name, func(p *sim.Proc, rk *mpi.Rank) {
-			for i := 0; i < iters; i++ {
+			for i := 0; i < fleetAppIters; i++ {
 				rk.FTProbe(p)
 				rk.Compute(p, 0.2)
 			}
@@ -549,9 +526,6 @@ func RunFleetScenarioWith(cfg FleetConfig, sc FleetScenario, sink func(metrics.E
 // reference they are read against; any other value returns the default
 // LPT matrix unchanged.
 func ExtFleetScenarios(drainCap int, seqMode string) []FleetScenario {
-	if drainCap <= 0 {
-		drainCap = 2
-	}
 	if seqMode == fleet.SeqMaxFlow {
 		mf := fleet.SeqPolicy{Batched: true, Mode: fleet.SeqMaxFlow}
 		return []FleetScenario{
@@ -578,19 +552,14 @@ func ExtFleetScenarios(drainCap int, seqMode string) []FleetScenario {
 	}
 }
 
-// ExtFleetMatrix runs the full fleet directive × policy × fault matrix.
-func ExtFleetMatrix(cfg FleetConfig) ([]FleetRow, error) {
-	return ExtFleetMatrixCtx(context.Background(), cfg)
-}
-
-// ExtFleetMatrixCtx is ExtFleetMatrix with cooperative cancellation: ctx
-// is checked between scenarios (a scenario, once started, runs to
-// completion — the simulation has no wall-clock blocking inside it), and
-// a cancelled run returns the rows finished so far alongside ctx.Err().
-func ExtFleetMatrixCtx(ctx context.Context, cfg FleetConfig) ([]FleetRow, error) {
-	cfg = cfg.withDefaults()
+// ExtFleetMatrix runs the full fleet directive × policy × fault matrix
+// under seqMode (see ExtFleetScenarios). ctx is checked between
+// scenarios (a scenario, once started, runs to completion — the
+// simulation has no wall-clock blocking inside it), and a cancelled run
+// returns the rows finished so far alongside ctx.Err().
+func ExtFleetMatrix(ctx context.Context, cfg FleetConfig, seqMode string) ([]FleetRow, error) {
 	var rows []FleetRow
-	for _, sc := range ExtFleetScenarios(cfg.DrainCap, cfg.SeqMode) {
+	for _, sc := range ExtFleetScenarios(fleetDrainCap, seqMode) {
 		if err := ctx.Err(); err != nil {
 			return rows, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestFleetReplansAfterDestinationCrash(t *testing.T) {
 // The matrix itself: seven rows, stable labels, no failures at a small
 // fleet size (the full size runs in the dedicated tests above).
 func TestExtFleetMatrixShape(t *testing.T) {
-	rows, err := ExtFleetMatrix(FleetConfig{Jobs: 3})
+	rows, err := ExtFleetMatrix(context.Background(), FleetConfig{Jobs: 3}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,10 +322,9 @@ func (m Matrix) Cells() []Cell {
 	return out
 }
 
-// DefaultMatrix is the ext-sweep matrix: five directive/policy shapes
+// DefaultMatrix is the ext-sweep matrix: four directive/policy shapes
 // (sequential greedy evacuation, batched swap-refined evacuation, a
-// capped rolling-maintenance drain, a swap-refined evacuation sequenced
-// by the time-expanded max-flow planner, and a batched swap-refined
+// capped rolling-maintenance drain, and a batched swap-refined
 // evacuation in RDMA-native mode — QP replay instead of hotplug for the
 // IB-capable half of the fleet) crossed with three
 // fault plans (fault free, a jittered crash of a seeded destination
@@ -361,14 +360,6 @@ func DefaultMatrix(jobs, seeds int) Matrix {
 					Kind:        fleet.RollingMaintenance,
 					Placement:   fleet.PlaceSwap,
 					MaxInFlight: 2,
-				},
-			},
-			{
-				Name: "evac-swap-maxflow",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Placement: fleet.PlaceSwap,
-					Seq:       fleet.SeqPolicy{Batched: true, Mode: fleet.SeqMaxFlow},
 				},
 			},
 			{

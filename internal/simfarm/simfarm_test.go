@@ -315,7 +315,7 @@ func TestCellEnumerationOrder(t *testing.T) {
 }
 
 // The real fleet runner end to end, small: the default matrix with 2
-// jobs and 2 seeds (3 directives × 3 plans × 2 = 18 cells) must complete
+// jobs and 2 seeds (4 directives × 3 plans × 2 = 24 cells) must complete
 // with zero failures and identical summaries at both parallelism levels.
 func TestDefaultMatrixFleetRuns(t *testing.T) {
 	if testing.Short() {

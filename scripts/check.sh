@@ -16,24 +16,31 @@ go test -race ./...
 # Smoke the fleet control plane end to end (small fleet, ~1 s). The
 # matrix includes the rolling-maintenance drain and the bidirectional
 # return-home rows.
-go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 >/dev/null
+go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 >/dev/null
 # ...and the time-expanded max-flow sequencing matrix (the alternate
 # planner drives the same executor through merged rounds).
-go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 -fleet-seq=maxflow >/dev/null
+go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-seq=maxflow >/dev/null
 # RDMA-native ladder smoke under the race detector: every rung (clean QP
 # replay, the three injected demotions, the preflight demotion and the
 # hotplug baseline) on a 2-VM deployment.
 go run -race ./cmd/ninjabench -run=ext-rdma >/dev/null
-# Monte Carlo sweep smoke under the race detector: 5×3×2 = 30 cells run
-# twice (parallelism 1 and 8) with the byte-identity check — 60 runs, just
-# under the 64-run budget; a nondeterministic summary or a data race in
-# the farm's worker pool fails here.
+# Monte Carlo sweep smoke under the race detector: 4×3×2 = 24 cells run
+# twice (parallelism 1 and 8) with the byte-identity check — 48 runs; a
+# nondeterministic summary or a data race in the farm's worker pool fails
+# here.
 go run -race ./cmd/ninjabench -run=ext-sweep -sweep-jobs=2 -sweep-seeds=2 >/dev/null
 # Online churn smoke under the race detector: the full policy × fault
 # matrix (greedy vs destination-swap, fault free and through a node
 # crash) on a reduced arrival count; the engine's mini-plan pipeline and
 # fault injection run on the shared kernel here.
 go run -race ./cmd/ninjabench -run=ext-churn -churn-jobs=24 >/dev/null
+# Directive-spec smokes: one directive per body kind through the decoder
+# and runner ninjad uses — churn mini-plans under the max-flow sequencer
+# through a node crash, a capped rolling drain, and a sweep at a fixed
+# worker count.
+go run ./cmd/ninjabench -spec '{"kind":"churn","jobs":24,"seq":"maxflow","faulted":true}' >/dev/null
+go run ./cmd/ninjabench -spec '{"kind":"rolling-maintenance","jobs":3,"max_in_flight":3}' >/dev/null
+go run ./cmd/ninjabench -spec '{"kind":"sweep","jobs":2,"seeds":2,"parallelism":2}' >/dev/null
 # Bench-regression smoke: deterministic sim-* metrics vs the committed
 # baseline (full sweep: scripts/bench.sh).
 sh scripts/bench.sh --smoke >/dev/null
