@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/churn"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/hw"
@@ -515,6 +516,34 @@ func BenchmarkChurnPolicies(b *testing.B) {
 	if rows[1].CostIntegral >= rows[0].CostIntegral {
 		b.Fatalf("destination-swap cost %.0f not below greedy %.0f",
 			rows[1].CostIntegral, rows[0].CostIntegral)
+	}
+}
+
+// BenchmarkChurnEngine times the churn placement engine alone, per
+// policy: one run of 2048 arrivals at 1.2/s on 32 IB + 32 Ethernet nodes
+// (perfbench's churn shape, with about 28% of arrivals rejected). It
+// reports arrivals handled per host second as jobs/sec, which benchdiff
+// leaves ungated.
+func BenchmarkChurnEngine(b *testing.B) {
+	cfg := experiments.ChurnConfig{IBNodes: 32, EthNodes: 32,
+		Workload: churn.Workload{Seed: 1, Jobs: 2048, ArrivalRate: 1.2}}
+	for _, c := range []struct {
+		name   string
+		policy churn.Policy
+	}{{"greedy", churn.PolicyGreedy}, {"swap", churn.PolicySwap}} {
+		b.Run(c.name, func(b *testing.B) {
+			arrived := 0
+			for i := 0; i < b.N; i++ {
+				d := experiments.DeployChurn(cfg)
+				eng, err := churn.New(d.K, d.Topo, churn.Options{Workload: cfg.Workload, Policy: c.policy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				arrived += eng.Run().Arrived
+				d.K.Close()
+			}
+			b.ReportMetric(float64(arrived)/b.Elapsed().Seconds(), "jobs/sec")
+		})
 	}
 }
 

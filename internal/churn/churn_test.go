@@ -3,6 +3,7 @@ package churn
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/faults"
@@ -11,21 +12,29 @@ import (
 	"repro/internal/sim"
 )
 
-// rig is one churn deployment: an IB site and an Ethernet site over a
-// fresh kernel. The IB site comes first in candidate order, so the
-// greedy baseline burns IB slots on whatever arrives first.
+// Every engine handler in this package's tests audits the books as it
+// returns.
+func TestMain(m *testing.M) {
+	checkBooks = true
+	os.Exit(m.Run())
+}
+
+// rig is one churn deployment: an IB site and an Ethernet site of
+// nodes nodes each over a fresh kernel. The IB site comes first in
+// candidate order, so the greedy baseline burns IB slots on whatever
+// arrives first.
 type rig struct {
 	k    *sim.Kernel
 	topo *fleet.Topology
 }
 
-func newRig(nfs float64) *rig {
+func newRig(nodes int, nfs float64) *rig {
 	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
-	ib := tb.AddCluster("ib", 4, hw.AGCNodeSpec)
+	ib := tb.AddCluster("ib", nodes, hw.AGCNodeSpec)
 	ethSpec := hw.AGCNodeSpec
 	ethSpec.IBBandwidth = 0
-	eth := tb.AddCluster("eth", 4, ethSpec)
+	eth := tb.AddCluster("eth", nodes, ethSpec)
 	topo := fleet.NewTopology(
 		&fleet.Site{Name: "ib", Nodes: ib.Nodes, SlotsPerNode: 2, WANBandwidth: 1.25e9},
 		&fleet.Site{Name: "eth", Nodes: eth.Nodes, SlotsPerNode: 2, WANBandwidth: 1.25e9},
@@ -49,7 +58,7 @@ func defaultWorkload(seed int64) Workload {
 // kernel's counters.
 func runOnce(t *testing.T, opts Options) (Report, sim.Stats) {
 	t.Helper()
-	r := newRig(0)
+	r := newRig(4, 0)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, opts)
 	if err != nil {
@@ -265,14 +274,15 @@ func TestOptionsValidate(t *testing.T) {
 // uplinks; with a cold model and a priced NFS server it also crosses
 // the storage link.
 func TestMigrationPricingLinks(t *testing.T) {
-	r := newRig(1e9)
+	r := newRig(4, 1e9)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(1), Model: fleet.CostModel{Cold: true}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	j := &job{name: "j", ib: true, vms: 1, nodes: []*hw.Node{r.topo.Sites[1].Nodes[0]}}
-	mig := eng.migrationFor(j, []*hw.Node{r.topo.Sites[0].Nodes[0]})
+	// Position 4 is the first Ethernet node, position 0 the first IB node.
+	j := &job{name: "j", ib: true, vms: 1, nodes: []int{4}}
+	mig := eng.migrationFor(j, []int{0})
 	want := map[string]bool{"wan:ib": true, "wan:eth": true, "nfs:shared": true}
 	if len(mig.Links) != len(want) {
 		t.Fatalf("links %v, want %v", mig.Links, want)
@@ -294,34 +304,31 @@ func TestMigrationPricingLinks(t *testing.T) {
 // on top of the reset. Capacity on failed hardware must be stranded
 // until reinstate rebuilds the books from ground truth.
 func TestEvictFromStrandsFailedCapacity(t *testing.T) {
-	r := newRig(0)
+	r := newRig(4, 0)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(1)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	bad := r.topo.Sites[0].Nodes[0]
-	good := r.topo.Sites[0].Nodes[1]
-	j := &job{name: "gang", ib: true, vms: 2, lifetime: 60 * sim.Second, state: stateRunning, nodes: []*hw.Node{bad, good}}
-	eng.jobs = append(eng.jobs, j)
-	eng.take(bad)
-	eng.take(good)
-	full := siteSlots(r.topo, bad)
-	if eng.slots[bad] != full-1 {
-		t.Fatalf("setup: slots[bad] = %d, want %d", eng.slots[bad], full-1)
+	// Positions 0 and 1 are the first two IB nodes.
+	const bad, good = 0, 1
+	j := &job{name: "gang", ib: true, vms: 2, lifetime: 60 * sim.Second, state: stateRunning, nodes: []int{bad, good}}
+	eng.running = append(eng.running, j)
+	eng.used[bad]++
+	eng.used[good]++
+	full := eng.capVMs[bad]
+	if full != siteSlots(r.topo, eng.nodes[bad]) {
+		t.Fatalf("setup: capacity %d VMs, want the site's %d slots", full, siteSlots(r.topo, eng.nodes[bad]))
 	}
 
-	bad.Fail()
+	eng.nodes[bad].Fail()
 	eng.evictFrom(bad)
 
 	// The crashed node's claim is stranded, not freed: its books still
-	// show the evicted VM's slot as taken. The buggy release made this
-	// full again.
-	if eng.slots[bad] != full-1 {
-		t.Fatalf("slots on failed node = %d after eviction, want %d (stranded)", eng.slots[bad], full-1)
-	}
-	if eng.mem[bad] != eng.opts.Workload.VMBytes {
-		t.Fatalf("mem on failed node = %g after eviction, want one stranded VM (%g)", eng.mem[bad], eng.opts.Workload.VMBytes)
+	// show the evicted VM's slot and memory as taken. The buggy release
+	// made this full again.
+	if eng.used[bad] != 1 {
+		t.Fatalf("claims on failed node = %d after eviction, want 1 (stranded)", eng.used[bad])
 	}
 	// The drain triggered by the eviction re-placed the gang, and only
 	// on healthy nodes.
@@ -329,25 +336,22 @@ func TestEvictFromStrandsFailedCapacity(t *testing.T) {
 		t.Fatalf("evicted gang not re-placed: state %v", j.state)
 	}
 	for _, d := range j.nodes {
-		if d == bad || d.Failed() {
-			t.Fatalf("gang re-placed onto failed node %s", d.Name)
+		if d == bad || eng.nodes[d].Failed() {
+			t.Fatalf("gang re-placed onto failed node %s", eng.nodes[d].Name)
 		}
 	}
 
 	// Restore rebuilds the books from ground truth: no resident VMs on
-	// the node, minus any relocation reservations still on the wire.
+	// the node, plus any relocation reservations still on the wire.
 	eng.reserved[bad] = 1
-	bad.Restore()
+	eng.nodes[bad].Restore()
 	eng.reinstate(bad)
-	if eng.slots[bad] != full-1 {
-		t.Fatalf("slots after reinstate = %d, want %d (full minus 1 reservation)", eng.slots[bad], full-1)
-	}
-	if eng.mem[bad] != eng.opts.Workload.VMBytes {
-		t.Fatalf("mem after reinstate = %g, want one reserved VM (%g)", eng.mem[bad], eng.opts.Workload.VMBytes)
+	if eng.used[bad] != 1 {
+		t.Fatalf("claims after reinstate = %d, want 1 reservation", eng.used[bad])
 	}
 	eng.reserved[bad] = 0
 	eng.reinstate(bad)
-	if eng.slots[bad] != full || eng.mem[bad] != 0 {
-		t.Fatalf("slots/mem after clean reinstate = %d/%g, want %d/0", eng.slots[bad], eng.mem[bad], full)
+	if eng.used[bad] != 0 || eng.free(eng.used, bad) != full {
+		t.Fatalf("claims/free after clean reinstate = %d/%d, want 0/%d", eng.used[bad], eng.free(eng.used, bad), full)
 	}
 }

@@ -1,7 +1,9 @@
 package churn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/faults"
@@ -25,16 +27,17 @@ const (
 // which only reads payload, fixed cost, rate and links).
 type job struct {
 	name     string
+	seq      int // arrival index, the running list's order
 	ib       bool
 	vms      int
 	lifetime sim.Time
 	arrived  sim.Time // arrival (or re-queue-after-fault) instant
 	state    jobState
-	nodes    []*hw.Node // one entry per VM while running
-	wait     sim.Time   // queue wait actually paid before placement
-	departEv sim.Event  // pending departure, cancelable on eviction
-	deadline sim.Event  // pending queue-deadline, cancelable on placement
-	evicted  bool       // re-queued by a node fault at least once
+	nodes    []int     // candidate positions, one entry per VM while running
+	wait     sim.Time  // queue wait actually paid before placement
+	departEv sim.Event // pending departure, cancelable on eviction
+	deadline sim.Event // pending queue-deadline, cancelable on placement
+	evicted  bool      // re-queued by a node fault at least once
 }
 
 // moveGroup is one atomic corrective move: either a single-gang
@@ -45,7 +48,7 @@ type job struct {
 // occupancy books.
 type moveGroup struct {
 	jobs     []*job
-	dsts     [][]*hw.Node
+	dsts     [][]int // candidate positions, one list per job
 	exchange bool
 }
 
@@ -58,20 +61,35 @@ type miniPlan struct {
 
 // Engine runs one churn workload over a fleet topology on the shared
 // DES kernel.
+//
+// The books are slices indexed by candidate position (site order, then
+// node order). Every VM claims one slot and VMBytes of memory together,
+// so one claim count per node stands for both: a node takes VM k+1 when
+// used+k+1 <= capVMs, the same test as slots-used-k > 0 and
+// (used+k+1)·VMBytes <= MemoryBytes (VMBytes is whole bytes, so the
+// products are exact).
 type Engine struct {
 	k    *sim.Kernel
 	topo *fleet.Topology
 	opts Options
 
-	nodes    []*hw.Node           // candidate order: site order, then node order
-	slots    map[*hw.Node]int     // free placement slots
-	mem      map[*hw.Node]float64 // bytes of churn payload resident per node
-	reserved map[*hw.Node]int     // relocation reservations on the wire, per destination
+	nodes    []*hw.Node
+	capVMs   []int    // VMs a node can hold: site slots capped by memory
+	used     []int    // VMs resident or reserved, plus claims stranded on a down node
+	reserved []int    // relocation reservations on the wire, per destination
+	aff      [2][]int // fleet.Affinity per node, indexed by ibIndex
+	order    [2][]int // placement order of the positions, indexed by ibIndex
 
-	jobs    []*job // every job, arrival order (stable iteration)
+	running []*job // placed jobs, arrival order
 	queue   []*job // waiting for capacity, FIFO
 	pending []*miniPlan
-	busy    bool // a mini-plan is on the wire
+	wire    *miniPlan // the mini-plan holding the wire, nil when idle
+	deficit int       // fleet-wide affinity deficit of the running jobs
+
+	// proposeGroups' scratch: shadow books, gang locations and gains.
+	shadow []int
+	loc    [][]int
+	gain   []int
 
 	clock   sim.Time // last cost-integral checkpoint
 	cost    float64  // ∫ fleet affinity deficit dt (points·seconds)
@@ -80,31 +98,56 @@ type Engine struct {
 	done    *sim.Future[struct{}]
 }
 
+// checkBooks makes every engine event handler audit the books when it
+// returns and panic on the first disagreement. The package's tests set
+// it in TestMain.
+var checkBooks bool
+
+func ibIndex(ib bool) int {
+	if ib {
+		return 1
+	}
+	return 0
+}
+
 // New builds an engine over the topology. Sites are taken in topology
-// order and nodes in site order — the deterministic candidate order both
-// policies share.
+// order and nodes in site order. Greedy places in that order; swap
+// places in a stable descending-affinity order of it, one per job
+// capability. Affinity depends only on the capability and the node, so
+// both orders are fixed for the engine's life.
 func New(k *sim.Kernel, topo *fleet.Topology, opts Options) (*Engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	e := &Engine{
-		k:        k,
-		topo:     topo,
-		opts:     opts,
-		slots:    make(map[*hw.Node]int),
-		mem:      make(map[*hw.Node]float64),
-		reserved: make(map[*hw.Node]int),
-		done:     sim.NewFuture[struct{}](k),
-	}
+	e := &Engine{k: k, topo: topo, opts: opts, done: sim.NewFuture[struct{}](k)}
 	for _, s := range topo.Sites {
 		for _, n := range s.Nodes {
+			fit := 0
+			for fit < siteSlots(topo, n) && float64(fit+1)*opts.Workload.VMBytes <= n.MemoryBytes {
+				fit++
+			}
 			e.nodes = append(e.nodes, n)
-			e.slots[n] = siteSlots(topo, n)
+			e.capVMs = append(e.capVMs, fit)
+			e.aff[0] = append(e.aff[0], fleet.Affinity(false, n))
+			e.aff[1] = append(e.aff[1], fleet.Affinity(true, n))
 		}
 	}
 	if len(e.nodes) == 0 {
 		return nil, fmt.Errorf("churn: topology has no nodes")
+	}
+	e.used = make([]int, len(e.nodes))
+	e.reserved = make([]int, len(e.nodes))
+	e.shadow = make([]int, len(e.nodes))
+	for c, aff := range e.aff {
+		order := make([]int, len(e.nodes))
+		for i := range order {
+			order[i] = i
+		}
+		if opts.Policy == PolicySwap {
+			sort.SliceStable(order, func(a, b int) bool { return aff[order[a]] > aff[order[b]] })
+		}
+		e.order[c] = order
 	}
 	return e, nil
 }
@@ -120,6 +163,20 @@ func siteSlots(topo *fleet.Topology, n *hw.Node) int {
 func (e *Engine) logf(format string, args ...any) {
 	if e.opts.Log != nil {
 		e.opts.Log(format, args...)
+	}
+}
+
+// handle wraps an engine event handler for the kernel, auditing the
+// books after it when checkBooks is set.
+func (e *Engine) handle(fn func()) func() {
+	if !checkBooks {
+		return fn
+	}
+	return func() {
+		fn()
+		if err := e.audit(); err != nil {
+			panic(fmt.Sprintf("churn: books at %v: %v", e.k.Now(), err))
+		}
 	}
 }
 
@@ -142,7 +199,7 @@ func (e *Engine) Start() {
 	e.rep.Seed = e.opts.Workload.Seed
 	for i := range sched {
 		a := sched[i]
-		e.k.ScheduleAt(a.at, func() { e.onArrival(a) })
+		e.k.ScheduleAt(a.at, e.handle(func() { e.onArrival(a) }))
 	}
 	e.armFaults()
 	if e.opts.Workload.Jobs == 0 {
@@ -163,53 +220,53 @@ func (e *Engine) armFaults() {
 			e.logf("churn: skipping %s fault (no guest-level surface in the churn engine)", s.Kind)
 			continue
 		}
-		n := e.pickNode(s.Target)
-		if n == nil {
+		i := e.pickNode(s.Target)
+		if i < 0 {
 			e.logf("churn: node-crash target %q not in topology; skipped", s.Target)
 			continue
 		}
+		n := e.nodes[i]
 		spec := s
-		e.k.ScheduleAt(spec.At, func() {
+		e.k.ScheduleAt(spec.At, e.handle(func() {
 			n.Fail()
 			e.rep.Faults++
 			e.logf("churn: %v node %s down", e.k.Now(), n.Name)
-			e.evictFrom(n)
-		})
+			e.evictFrom(i)
+		}))
 		if spec.For > 0 {
-			e.k.ScheduleAt(spec.At+spec.For, func() {
+			e.k.ScheduleAt(spec.At+spec.For, e.handle(func() {
 				n.Restore()
-				e.reinstate(n)
+				e.reinstate(i)
 				e.logf("churn: %v node %s restored", e.k.Now(), n.Name)
 				e.drainQueue()
 				e.maybeSwap()
-			})
+			}))
 		}
 	}
 }
 
-func (e *Engine) pickNode(target string) *hw.Node {
+// pickNode returns the candidate position of the named node, -1 when
+// the topology has none.
+func (e *Engine) pickNode(target string) int {
 	if target == "" {
-		return e.nodes[0]
+		return 0
 	}
-	for _, n := range e.nodes {
+	for i, n := range e.nodes {
 		if n.Name == target {
-			return n
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // onArrival admits one job: place it now or queue it under the
 // placement deadline.
 func (e *Engine) onArrival(a arrival) {
-	j := &job{name: a.name, ib: a.ib, vms: a.vms, lifetime: a.lifetime, arrived: e.k.Now()}
-	e.jobs = append(e.jobs, j)
+	j := &job{name: a.name, seq: e.rep.Arrived, ib: a.ib, vms: a.vms, lifetime: a.lifetime, arrived: e.k.Now()}
 	e.rep.Arrived++
-	if e.place(j) {
-		e.maybeSwap()
-		return
+	if !e.place(j) {
+		e.enqueue(j)
 	}
-	e.enqueue(j)
 	e.maybeSwap()
 }
 
@@ -218,7 +275,7 @@ func (e *Engine) enqueue(j *job) {
 	j.state = stateQueued
 	e.queue = append(e.queue, j)
 	jj := j
-	j.deadline = e.k.Schedule(e.opts.PlaceDeadline, func() { e.onDeadline(jj) })
+	j.deadline = e.k.Schedule(e.opts.PlaceDeadline, e.handle(func() { e.onDeadline(jj) }))
 }
 
 // onDeadline rejects a job that waited out its placement deadline. A
@@ -243,16 +300,19 @@ func (e *Engine) onDeadline(j *job) {
 // first free slots in candidate order; swap takes the highest-affinity
 // free slots. Returns false when capacity is short.
 func (e *Engine) place(j *job) bool {
-	dsts := e.findSlots(j)
+	dsts := e.findSlots(e.used, j)
 	if dsts == nil {
 		return false
 	}
 	e.accrue()
-	for _, n := range dsts {
-		e.take(n)
+	for _, i := range dsts {
+		e.used[i]++
 	}
 	j.nodes = dsts
+	e.deficit += e.jobDeficit(j)
 	j.state = stateRunning
+	i, _ := slices.BinarySearchFunc(e.running, j.seq, bySeq)
+	e.running = slices.Insert(e.running, i, j)
 	j.wait = e.k.Now() - j.arrived
 	j.deadline.Cancel()
 	j.deadline = sim.Event{}
@@ -265,53 +325,81 @@ func (e *Engine) place(j *job) bool {
 		e.rep.waits = append(e.rep.waits, j.wait)
 	}
 	jj := j
-	j.departEv = e.k.Schedule(j.lifetime, func() { e.onDeparture(jj) })
+	j.departEv = e.k.Schedule(j.lifetime, e.handle(func() { e.onDeparture(jj) }))
 	return true
 }
 
-// findSlots returns one healthy node per VM, respecting slot and memory
-// headroom, nil when the gang does not fit. A gang may spread across
-// nodes; a node with several free slots may hold several of its VMs.
-func (e *Engine) findSlots(j *job) []*hw.Node {
-	order := e.nodes
-	if e.opts.Policy == PolicySwap {
-		order = append([]*hw.Node(nil), e.nodes...)
-		sort.SliceStable(order, func(a, b int) bool {
-			return fleet.Affinity(j.ib, order[a]) > fleet.Affinity(j.ib, order[b])
-		})
+func bySeq(j *job, seq int) int { return cmp.Compare(j.seq, seq) }
+
+// free is how many more VMs node i can take on the given books; none
+// while it is down.
+func (e *Engine) free(books []int, i int) int {
+	if e.nodes[i].Failed() {
+		return 0
 	}
-	vmBytes := e.opts.Workload.VMBytes
-	taken := make(map[*hw.Node]int)
-	var dsts []*hw.Node
-	for v := 0; v < j.vms; v++ {
-		placed := false
-		for _, n := range order {
-			if n.Failed() || e.slots[n]-taken[n] <= 0 {
-				continue
-			}
-			if e.mem[n]+float64(taken[n]+1)*vmBytes > n.MemoryBytes {
-				continue
-			}
-			taken[n]++
-			dsts = append(dsts, n)
-			placed = true
-			break
-		}
-		if !placed {
-			return nil
-		}
-	}
-	return dsts
+	return max(0, e.capVMs[i]-books[i])
 }
 
-func (e *Engine) take(n *hw.Node) {
-	e.slots[n]--
-	e.mem[n] += e.opts.Workload.VMBytes
+// freeVMs is how many more VMs the healthy nodes can take on the given
+// books.
+func (e *Engine) freeVMs(books []int) int {
+	n := 0
+	for i := range e.nodes {
+		n += e.free(books, i)
+	}
+	return n
 }
 
-func (e *Engine) release(n *hw.Node) {
-	e.slots[n]++
-	e.mem[n] -= e.opts.Workload.VMBytes
+// findSlots returns one candidate position per VM on the given books,
+// nil when the gang does not fit. Each VM takes the first node in the
+// job's placement order with room, so a node with several free slots
+// may hold several of the gang's VMs. The gang fits exactly when
+// j.vms <= freeVMs(books), whatever the order.
+func (e *Engine) findSlots(books []int, j *job) []int {
+	dsts := make([]int, 0, j.vms)
+	for _, i := range e.order[ibIndex(j.ib)] {
+		for k := e.free(books, i); k > 0 && len(dsts) < j.vms; k-- {
+			dsts = append(dsts, i)
+		}
+		if len(dsts) == j.vms {
+			return dsts
+		}
+	}
+	return nil
+}
+
+// score sums the per-VM affinity of a gang of the given capability on
+// the given positions.
+func (e *Engine) score(ib bool, nodes []int) int {
+	aff, s := e.aff[ibIndex(ib)], 0
+	for _, i := range nodes {
+		s += aff[i]
+	}
+	return s
+}
+
+// jobDeficit is a running job's share of the fleet affinity deficit.
+func (e *Engine) jobDeficit(j *job) int {
+	aff, d := e.aff[ibIndex(j.ib)], 0
+	for _, i := range j.nodes {
+		d += deficit(j.ib, aff[i])
+	}
+	return d
+}
+
+// unrun takes a running job off its nodes and out of the running list.
+// Claims on a down node stay stranded until reinstate rebuilds its
+// books.
+func (e *Engine) unrun(j *job) {
+	for _, i := range j.nodes {
+		if !e.nodes[i].Failed() {
+			e.used[i]--
+		}
+	}
+	e.deficit -= e.jobDeficit(j)
+	j.nodes = nil
+	i, _ := slices.BinarySearchFunc(e.running, j.seq, bySeq)
+	e.running = slices.Delete(e.running, i, i+1)
 }
 
 // onDeparture retires a job at end of life.
@@ -320,10 +408,7 @@ func (e *Engine) onDeparture(j *job) {
 		return
 	}
 	e.accrue()
-	for _, n := range j.nodes {
-		e.release(n)
-	}
-	j.nodes = nil
+	e.unrun(j)
 	j.state = stateDeparted
 	e.rep.Departed++
 	e.drainQueue()
@@ -332,19 +417,23 @@ func (e *Engine) onDeparture(j *job) {
 }
 
 // drainQueue re-tries queued jobs in FIFO order after capacity frees
-// up. A job that fits is placed with its accumulated wait; jobs that
-// still do not fit keep waiting (their deadline events are armed).
+// up. Only a gang that fits the free VM count is tried, and it always
+// lands, with its accumulated wait; jobs that still do not fit keep
+// waiting (their deadline events are armed).
 func (e *Engine) drainQueue() {
-	var still []*job
+	free := e.freeVMs(e.used)
+	still := e.queue[:0]
 	for _, j := range e.queue {
 		if j.state != stateQueued {
 			continue
 		}
-		if e.place(j) {
+		if j.vms <= free && e.place(j) {
+			free -= j.vms
 			continue
 		}
 		still = append(still, j)
 	}
+	clear(e.queue[len(still):])
 	e.queue = still
 	e.checkDone()
 }
@@ -358,51 +447,36 @@ func (e *Engine) removeQueued(j *job) {
 	}
 }
 
-// evictFrom re-queues every running job with a VM on the failed node.
+// evictFrom re-queues every running job with a VM on the failed node n.
 // The gang's checkpoint survives on the shared store, so the job is not
 // lost — it waits for re-placement like a fresh arrival, and the
 // re-placement is counted as a fault migration.
 //
 // Capacity released by an eviction goes back only to healthy nodes: a
 // VM's claim on failed hardware is stranded, not freed — dead nodes must
-// not appear to hold schedulable slots while down. (findSlots and
-// proposeGroups both skip Failed nodes as well, so this is
-// defense-in-depth for the books themselves; pickNode only resolves
-// fault targets and never places.) reinstate rebuilds the node's books
-// from ground truth when it restores.
-func (e *Engine) evictFrom(n *hw.Node) {
+// not appear to hold schedulable slots while down. (findSlots skips
+// Failed nodes as well, so this is defense-in-depth for the books
+// themselves; pickNode only resolves fault targets and never places.)
+// reinstate rebuilds the node's books from ground truth when it
+// restores.
+func (e *Engine) evictFrom(n int) {
 	e.accrue()
-	evicted := false
-	for _, j := range e.jobs {
-		if j.state != stateRunning {
-			continue
+	var hit []*job
+	for _, j := range e.running {
+		if slices.Contains(j.nodes, n) {
+			hit = append(hit, j)
 		}
-		hit := false
-		for _, d := range j.nodes {
-			if d == n {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		for _, d := range j.nodes {
-			if d.Failed() {
-				continue
-			}
-			e.release(d)
-		}
-		j.nodes = nil
+	}
+	for _, j := range hit {
+		e.unrun(j)
 		j.evicted = true
 		j.arrived = e.k.Now()
 		j.departEv.Cancel()
 		j.departEv = sim.Event{}
-		e.logf("churn: %v job %s evicted from %s", e.k.Now(), j.name, n.Name)
+		e.logf("churn: %v job %s evicted from %s", e.k.Now(), j.name, e.nodes[n].Name)
 		e.enqueue(j)
-		evicted = true
 	}
-	if evicted {
+	if len(hit) > 0 {
 		e.drainQueue()
 		e.maybeSwap()
 	}
@@ -411,24 +485,18 @@ func (e *Engine) evictFrom(n *hw.Node) {
 // reinstate rebuilds a restored node's capacity books from ground truth.
 // While the node was down, evicted occupants' claims were deliberately
 // not released back to it (dead hardware holds no schedulable capacity),
-// so the stale counters are replaced wholesale: full site slots minus
-// VMs still resident (none, after eviction) and minus relocation
-// reservations still on the wire.
-func (e *Engine) reinstate(n *hw.Node) {
+// so the stale count is replaced wholesale: VMs still resident (none,
+// after eviction) plus relocation reservations still on the wire.
+func (e *Engine) reinstate(n int) {
 	occ := 0
-	for _, j := range e.jobs {
-		if j.state != stateRunning {
-			continue
-		}
+	for _, j := range e.running {
 		for _, d := range j.nodes {
 			if d == n {
 				occ++
 			}
 		}
 	}
-	held := occ + e.reserved[n]
-	e.slots[n] = siteSlots(e.topo, n) - held
-	e.mem[n] = float64(held) * e.opts.Workload.VMBytes
+	e.used[n] = occ + e.reserved[n]
 }
 
 // maybeSwap proposes up to MaxSwapsPerEvent affinity-improving move
@@ -438,7 +506,7 @@ func (e *Engine) reinstate(n *hw.Node) {
 // destinations are reserved immediately — an arrival racing the wire
 // must not claim the same slot.
 func (e *Engine) maybeSwap() {
-	if e.opts.Policy != PolicySwap || e.busy || e.stopped {
+	if e.opts.Policy != PolicySwap || e.wire != nil || e.stopped {
 		return
 	}
 	groups := e.proposeGroups()
@@ -452,9 +520,9 @@ func (e *Engine) maybeSwap() {
 		}
 		if !g.exchange {
 			for _, dst := range g.dsts {
-				for _, n := range dst {
-					e.take(n)
-					e.reserved[n]++
+				for _, i := range dst {
+					e.used[i]++
+					e.reserved[i]++
 				}
 			}
 		}
@@ -463,95 +531,69 @@ func (e *Engine) maybeSwap() {
 	e.submit(&miniPlan{seq: seq, groups: groups})
 }
 
-// proposeGroups scans for strictly improving corrective moves against a
-// shadow of the current occupancy: gang relocations into free capacity
-// first, then pairwise destination exchanges between equal-shape gangs.
-// Earlier proposals update the shadow so later ones see their effect.
-// One group counts one move against the MaxSwapsPerEvent budget.
+// proposeGroups scans the running jobs, in arrival order, for strictly
+// improving corrective moves against a shadow of the current books:
+// gang relocations into free capacity first, then pairwise destination
+// exchanges between equal-shape gangs. Earlier proposals update the
+// shadow so later ones see their effect. One group counts one move
+// against the MaxSwapsPerEvent budget.
 func (e *Engine) proposeGroups() []*moveGroup {
-	shadowSlots := make(map[*hw.Node]int, len(e.slots))
-	for n, s := range e.slots {
-		shadowSlots[n] = s
+	shadow := e.shadow
+	copy(shadow, e.used)
+	free := e.freeVMs(shadow)
+	loc := e.loc[:0]
+	for _, j := range e.running {
+		loc = append(loc, j.nodes)
 	}
-	shadowMem := make(map[*hw.Node]float64, len(e.mem))
-	for n, m := range e.mem {
-		shadowMem[n] = m
-	}
-	loc := make(map[*job][]*hw.Node)
-	var running []*job
-	for _, j := range e.jobs {
-		if j.state == stateRunning {
-			running = append(running, j)
-			loc[j] = append([]*hw.Node(nil), j.nodes...)
-		}
-	}
-	vmBytes := e.opts.Workload.VMBytes
-	score := func(j *job, nodes []*hw.Node) int {
-		s := 0
-		for _, n := range nodes {
-			s += fleet.Affinity(j.ib, n)
-		}
-		return s
-	}
+	e.loc = loc
 	var groups []*moveGroup
 	// Relocations: best free slots strictly better than the current ones.
-	for _, j := range running {
+	for x, j := range e.running {
 		if len(groups) >= e.opts.MaxSwapsPerEvent {
 			return groups
 		}
-		order := append([]*hw.Node(nil), e.nodes...)
-		sort.SliceStable(order, func(a, b int) bool {
-			return fleet.Affinity(j.ib, order[a]) > fleet.Affinity(j.ib, order[b])
-		})
-		taken := make(map[*hw.Node]int)
-		var dst []*hw.Node
-		for v := 0; v < j.vms; v++ {
-			for _, n := range order {
-				if n.Failed() || shadowSlots[n]-taken[n] <= 0 {
-					continue
-				}
-				if shadowMem[n]+float64(taken[n]+1)*vmBytes > n.MemoryBytes {
-					continue
-				}
-				taken[n]++
-				dst = append(dst, n)
-				break
-			}
-		}
-		if len(dst) < j.vms || score(j, dst) <= score(j, loc[j]) {
+		if j.vms > free {
 			continue
 		}
-		for _, n := range loc[j] {
-			shadowSlots[n]++
-			shadowMem[n] -= vmBytes
+		dst := e.findSlots(shadow, j)
+		if e.score(j.ib, dst) <= e.score(j.ib, loc[x]) {
+			continue
 		}
-		for _, n := range dst {
-			shadowSlots[n]--
-			shadowMem[n] += vmBytes
+		for _, i := range loc[x] {
+			shadow[i]--
 		}
-		loc[j] = dst
-		groups = append(groups, &moveGroup{jobs: []*job{j}, dsts: [][]*hw.Node{dst}})
+		for _, i := range dst {
+			shadow[i]++
+		}
+		free = e.freeVMs(shadow)
+		loc[x] = dst
+		groups = append(groups, &moveGroup{jobs: []*job{j}, dsts: [][]int{dst}})
 	}
 	// Pairwise destination exchanges: swap two equal-shape gangs' node
 	// sets when the summed affinity strictly rises. Slot counts per node
 	// are unchanged by an exchange; with uniform VMBytes so is memory.
-	for i := 0; i < len(running); i++ {
+	// Gangs of the same capability would trade equal scores, so only an
+	// IB gang and a TCP gang can gain, and the pair gains exactly when
+	// the sum of their gains is positive — a gang's gain being how much
+	// more its nodes score for the other capability than for its own.
+	gain := e.gain[:0]
+	for x, j := range e.running {
+		gain = append(gain, e.score(!j.ib, loc[x])-e.score(j.ib, loc[x]))
+	}
+	e.gain = gain
+	for x, a := range e.running {
 		if len(groups) >= e.opts.MaxSwapsPerEvent {
 			return groups
 		}
-		for jdx := i + 1; jdx < len(running); jdx++ {
-			a, b := running[i], running[jdx]
-			if a.vms != b.vms {
+		for y := x + 1; y < len(e.running); y++ {
+			b := e.running[y]
+			if a.vms != b.vms || a.ib == b.ib || gain[x]+gain[y] <= 0 {
 				continue
 			}
-			before := score(a, loc[a]) + score(b, loc[b])
-			after := score(a, loc[b]) + score(b, loc[a])
-			if after <= before {
-				continue
-			}
-			loc[a], loc[b] = loc[b], loc[a]
+			loc[x], loc[y] = loc[y], loc[x]
+			gain[x], gain[y] = -gain[y], -gain[x]
 			groups = append(groups, &moveGroup{
-				jobs: []*job{a, b}, dsts: [][]*hw.Node{loc[a], loc[b]}, exchange: true,
+				jobs: []*job{a, b}, dsts: [][]int{loc[x], loc[y]}, exchange: true,
 			})
 			break
 		}
@@ -564,17 +606,19 @@ func (e *Engine) proposeGroups() []*moveGroup {
 // gang crosses, and the shared NFS link when the model streams
 // checkpoints (fleet.MigrationOf's pricing, applied to an abstract
 // gang).
-func (e *Engine) migrationFor(j *job, dsts []*hw.Node) *fleet.Migration {
+func (e *Engine) migrationFor(j *job, dsts []int) *fleet.Migration {
 	m := e.opts.Model.WithDefaults()
-	mig := &fleet.Migration{Job: &fleet.Job{Name: j.name, IBCapable: j.ib}, Dsts: dsts, Fixed: m.Coordination}
+	mig := &fleet.Migration{Job: &fleet.Job{Name: j.name, IBCapable: j.ib}, Fixed: m.Coordination}
 	links := map[string]bool{}
 	dstIB := false
-	for i, d := range dsts {
+	for i, di := range dsts {
+		d := e.nodes[di]
+		mig.Dsts = append(mig.Dsts, d)
 		mig.Bytes += e.opts.Workload.VMBytes
 		mig.MaxRate += m.PerVMWireRate
 		var src *fleet.Site
 		if i < len(j.nodes) {
-			src = e.topo.SiteOf(j.nodes[i])
+			src = e.topo.SiteOf(e.nodes[j.nodes[i]])
 		}
 		dst := e.topo.SiteOf(d)
 		if src != dst {
@@ -607,7 +651,7 @@ func (e *Engine) migrationFor(j *job, dsts []*hw.Node) *fleet.Migration {
 // submit queues a mini-plan and starts the wire pump if idle.
 func (e *Engine) submit(p *miniPlan) {
 	e.pending = append(e.pending, p)
-	if !e.busy {
+	if e.wire == nil {
 		e.pump()
 	}
 }
@@ -617,18 +661,18 @@ func (e *Engine) submit(p *miniPlan) {
 // estimate), then the plan's commit flips engine state atomically.
 func (e *Engine) pump() {
 	if len(e.pending) == 0 {
-		e.busy = false
+		e.wire = nil
 		e.maybeSwap()
 		e.checkDone()
 		return
 	}
-	e.busy = true
 	p := e.pending[0]
 	e.pending = e.pending[1:]
-	e.k.Schedule(p.seq.Predicted, func() {
+	e.wire = p
+	e.k.Schedule(p.seq.Predicted, e.handle(func() {
 		e.commitGroups(p.groups)
 		e.pump()
-	})
+	}))
 }
 
 // commitGroups lands a mini-plan's move groups all-or-nothing each:
@@ -646,8 +690,8 @@ func (e *Engine) commitGroups(groups []*moveGroup) {
 			}
 		}
 		for _, dst := range g.dsts {
-			for _, n := range dst {
-				if n.Failed() {
+			for _, i := range dst {
+				if e.nodes[i].Failed() {
 					ok = false
 				}
 			}
@@ -658,33 +702,32 @@ func (e *Engine) commitGroups(groups []*moveGroup) {
 				// failed on the wire keeps nothing — its books are rebuilt
 				// by reinstate on restore.
 				for _, dst := range g.dsts {
-					for _, n := range dst {
-						e.reserved[n]--
-						if n.Failed() {
-							continue
+					for _, i := range dst {
+						e.reserved[i]--
+						if !e.nodes[i].Failed() {
+							e.used[i]--
 						}
-						e.release(n)
 					}
 				}
 			}
 			continue
 		}
-		for i, j := range g.jobs {
-			for _, n := range j.nodes {
-				e.release(n)
+		for x, j := range g.jobs {
+			for _, i := range j.nodes {
+				e.used[i]--
 			}
-			if g.exchange {
-				for _, n := range g.dsts[i] {
-					e.take(n)
-				}
-			} else {
-				// The reservation (taken at proposal time) becomes
-				// occupancy.
-				for _, n := range g.dsts[i] {
-					e.reserved[n]--
+			for _, i := range g.dsts[x] {
+				if g.exchange {
+					e.used[i]++
+				} else {
+					// The reservation (taken at proposal time) becomes
+					// occupancy.
+					e.reserved[i]--
 				}
 			}
-			j.nodes = g.dsts[i]
+			e.deficit -= e.jobDeficit(j)
+			j.nodes = g.dsts[x]
+			e.deficit += e.jobDeficit(j)
 			e.rep.SwapMigs++
 			e.rep.MigBytes += float64(j.vms) * e.opts.Workload.VMBytes
 		}
@@ -696,29 +739,15 @@ func (e *Engine) commitGroups(groups []*moveGroup) {
 func (e *Engine) accrue() {
 	now := e.k.Now()
 	if now > e.clock {
-		e.cost += float64(e.deficitNow()) * (now - e.clock).Seconds()
+		e.cost += float64(e.deficit) * (now - e.clock).Seconds()
 		e.clock = now
 	}
-}
-
-// deficitNow sums the per-VM affinity deficit over running jobs.
-func (e *Engine) deficitNow() int {
-	d := 0
-	for _, j := range e.jobs {
-		if j.state != stateRunning {
-			continue
-		}
-		for _, n := range j.nodes {
-			d += deficit(j.ib, fleet.Affinity(j.ib, n))
-		}
-	}
-	return d
 }
 
 // checkDone finishes the run once every job is departed or rejected and
 // no migration work is pending.
 func (e *Engine) checkDone() {
-	if e.stopped || e.busy || len(e.pending) > 0 {
+	if e.stopped || e.wire != nil || len(e.pending) > 0 {
 		return
 	}
 	if e.rep.Departed+e.rep.Rejected < e.opts.Workload.Jobs {

@@ -30,7 +30,7 @@ type ChurnConfig struct {
 	IBNodes  int
 	EthNodes int
 	// Workload is the seeded arrival process; zero fields default as in
-	// churn.Workload (64 jobs, 0.5/s, exponential 120 s lifetimes).
+	// churn.Workload (64 jobs, 0.1/s, exponential 120 s lifetimes).
 	Workload churn.Workload
 }
 

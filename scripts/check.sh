@@ -13,6 +13,11 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark is a module of its own, so the root `go test ./...` does
+# not enter it. Its tests run each workload once in small shape and
+# check it: churn's departed + rejected == arrived, and every pass
+# reproducing the warm-up pass's simulated outputs.
+(cd perfbench && go build ./... && go vet ./... && go test ./...)
 # Smoke the fleet control plane end to end (small fleet, ~1 s). The
 # matrix includes the rolling-maintenance drain and the bidirectional
 # return-home rows.
