@@ -17,7 +17,7 @@ race:
 	$(GO) test -race ./...
 
 # The pre-merge gate: everything must compile, vet clean, and pass the
-# full suite under the race detector (the DES kernel's strict-handoff
+# full suite under the race detector (the DES kernel's coroutine
 # scheduling is -race clean by design).
 check: build vet race
 

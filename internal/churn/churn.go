@@ -210,9 +210,6 @@ type Options struct {
 	Model fleet.CostModel
 	// Seq selects how mini-plan migrations overlap (default batched).
 	Seq fleet.SeqPolicy
-	// HealthPoll is the failed-node sweep interval while a fault plan is
-	// armed (default 5 s).
-	HealthPoll sim.Time
 	// Faults is the node-fault script. Only node-crash specs apply — an
 	// abstract churn job has no guest to aim a QMP or migrate-abort
 	// fault at — and unsupported kinds are skipped with a log line.
@@ -228,9 +225,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PlaceDeadline <= 0 {
 		o.PlaceDeadline = 60 * sim.Second
-	}
-	if o.HealthPoll <= 0 {
-		o.HealthPoll = 5 * sim.Second
 	}
 	if o.Seq == (fleet.SeqPolicy{}) {
 		o.Seq = fleet.SeqPolicy{Batched: true}

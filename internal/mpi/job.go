@@ -92,6 +92,9 @@ func NewJob(k *sim.Kernel, cfg Config) (*Job, error) {
 			vm:   cfg.VMs[i/cfg.RanksPerVM],
 			crs:  crs.Noop{},
 			wake: sim.NewCond(k),
+
+			sendrecvName: fmt.Sprintf("rank%d/sendrecv", i),
+			isendName:    fmt.Sprintf("rank%d/isend", i),
 		}
 		r.btls = btl.NewSet(r, btl.NewSM(r), btl.NewOpenIB(r), btl.NewTCP(r))
 		j.ranks = append(j.ranks, r)

@@ -25,7 +25,7 @@ type Request struct {
 func (r *Rank) Isend(dst, tag int, bytes float64) *Request {
 	req := &Request{rank: r, isend: true, bytes: bytes,
 		sendDone: sim.NewFuture[error](r.job.k)}
-	r.job.k.Go(fmt.Sprintf("rank%d/isend", r.id), func(sp *sim.Proc) {
+	r.job.k.Go(r.isendName, func(sp *sim.Proc) {
 		req.sendDone.Set(r.Send(sp, dst, tag, bytes))
 	})
 	return req

@@ -149,7 +149,7 @@ func (r *Rank) takeUnexpected(req *recvReq) *message {
 // cannot deadlock.
 func (r *Rank) Sendrecv(p *sim.Proc, dst, sendTag int, bytes float64, src, recvTag int) (float64, error) {
 	sendErr := sim.NewFuture[error](r.job.k)
-	r.job.k.Go(fmt.Sprintf("rank%d/sendrecv", r.id), func(sp *sim.Proc) {
+	r.job.k.Go(r.sendrecvName, func(sp *sim.Proc) {
 		sendErr.Set(r.Send(sp, dst, sendTag, bytes))
 	})
 	got, err := r.Recv(p, src, recvTag)

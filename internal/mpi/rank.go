@@ -42,6 +42,10 @@ type Rank struct {
 	// of Fig. 8b so slow.
 	spinDepth int
 	spinPS    *sim.PS
+
+	// sendrecvName and isendName name the helper processes Sendrecv and
+	// Isend start, built once per rank rather than per call.
+	sendrecvName, isendName string
 }
 
 // spinBegin marks the rank as busy-polling inside a blocking MPI call.

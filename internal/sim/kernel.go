@@ -65,8 +65,8 @@ func (e Event) Pending() bool {
 }
 
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
-// concurrent use from multiple OS-level goroutines except through the
-// Proc handoff protocol it manages itself.
+// concurrent use: its processes are coroutines that run only while the
+// kernel loop has switched to them.
 type Kernel struct {
 	now       Time
 	seq       uint64
@@ -74,8 +74,9 @@ type Kernel struct {
 	scheduled uint64
 	executed  uint64
 	cancelled uint64
-	yield     chan struct{} // procs signal here when they park or exit
-	procs     map[*Proc]struct{}
+	live      int       // started processes that have not exited
+	workers   []*worker // every worker coroutine, for Close to stop
+	idle      []*worker // workers with no process bound
 	running   bool
 	stopReq   bool // cooperative Stop() requested; consumed by RunUntil
 	failure   any  // first panic propagated from a proc
@@ -84,12 +85,7 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel with the clock at the epoch.
-func NewKernel() *Kernel {
-	return &Kernel{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Stats returns scheduler activity counters (for profiling and the
 // events/sec benchmarks).
@@ -201,11 +197,12 @@ func (k *Kernel) PendingEvents() int { return k.q.n }
 
 // LiveProcs returns the number of processes that have been started and have
 // not yet exited (including parked ones).
-func (k *Kernel) LiveProcs() int { return len(k.procs) }
+func (k *Kernel) LiveProcs() int { return k.live }
 
-// Close terminates every parked process by unwinding its goroutine, then
-// marks the kernel unusable. It is safe to call after Run returns; it lets
-// tests assert no goroutines leak. Close must not be called from within a
+// Close terminates every parked process by unwinding its body, stops every
+// worker coroutine, then marks the kernel unusable. Processes that never
+// ran are dropped. It is safe to call after Run returns; it lets tests
+// assert no goroutines leak. Close must not be called from within a
 // simulation event.
 func (k *Kernel) Close() {
 	if k.running {
@@ -215,13 +212,9 @@ func (k *Kernel) Close() {
 		return
 	}
 	k.closed = true
-	for p := range k.procs {
-		if p.parked {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-k.yield
-		}
+	for _, w := range k.workers {
+		w.stop()
 	}
-	k.procs = nil
+	k.workers, k.idle, k.live = nil, nil, 0
 	k.q.clear()
 }

@@ -30,7 +30,9 @@ type PS struct {
 type psJob struct {
 	finish float64 // virtual-time finish tag: virtual at join + amount
 	seq    uint64
-	fut    *Future[struct{}]
+	fut    *Future[struct{}] // ServeAsync's future, or nil
+	p      *Proc             // the process parked on it in Serve, or nil
+	done   bool              // completed; cleared when the job is recycled
 }
 
 const psEpsilon = 1e-6
@@ -123,10 +125,14 @@ func (ps *PS) replan() {
 	ps.pending = Event{}
 	for len(ps.jobs) > 0 && ps.jobs[0].finish-ps.virtual <= psEpsilon {
 		j := ps.popJob()
-		fut := j.fut
-		j.fut = nil
+		fut, p := j.fut, j.p
+		j.fut, j.p, j.done = nil, nil, true
 		ps.freeJobs = append(ps.freeJobs, j)
-		fut.Set(struct{}{})
+		if p != nil {
+			ps.k.Schedule(0, p.wake)
+		} else if fut != nil {
+			fut.Set(struct{}{})
+		}
 	}
 	if len(ps.jobs) == 0 {
 		return
@@ -193,6 +199,23 @@ func psLess(a, b *psJob) bool {
 	return a.seq < b.seq
 }
 
+// join queues a job of the given positive amount of work without
+// replanning.
+func (ps *PS) join(amount float64) *psJob {
+	ps.update()
+	var j *psJob
+	if n := len(ps.freeJobs); n > 0 {
+		j = ps.freeJobs[n-1]
+		ps.freeJobs = ps.freeJobs[:n-1]
+	} else {
+		j = &psJob{}
+	}
+	j.finish, j.seq, j.done = ps.virtual+amount, ps.seq, false
+	ps.pushJob(j)
+	ps.seq++
+	return j
+}
+
 // ServeAsync submits a job of the given amount of work and returns a future
 // that resolves when the job completes. A non-positive amount completes
 // immediately.
@@ -202,22 +225,23 @@ func (ps *PS) ServeAsync(amount float64) *Future[struct{}] {
 		fut.Set(struct{}{})
 		return fut
 	}
-	ps.update()
-	var j *psJob
-	if n := len(ps.freeJobs); n > 0 {
-		j = ps.freeJobs[n-1]
-		ps.freeJobs = ps.freeJobs[:n-1]
-	} else {
-		j = &psJob{}
-	}
-	j.finish, j.seq, j.fut = ps.virtual+amount, ps.seq, fut
-	ps.pushJob(j)
-	ps.seq++
+	ps.join(amount).fut = fut
 	ps.replan()
 	return fut
 }
 
-// Serve submits a job and blocks the process until it completes.
+// Serve submits a job and blocks the process until it completes. The
+// process parks on the job itself, and replan wakes it where ServeAsync
+// would resolve the future; a job that completes within its own replan
+// does not park.
 func (ps *PS) Serve(p *Proc, amount float64) {
-	ps.ServeAsync(amount).Wait(p)
+	if amount <= 0 {
+		return
+	}
+	j := ps.join(amount)
+	ps.replan()
+	if !j.done {
+		j.p = p
+		p.park()
+	}
 }

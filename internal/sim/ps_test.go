@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -194,4 +196,50 @@ func TestPSNonPositiveCapacityPanics(t *testing.T) {
 		}
 	}()
 	NewPS(k, 0, 0)
+}
+
+// TestPSServeMatchesServeAsyncWait checks that Serve, which parks the proc
+// on its job, replays exactly what waiting on ServeAsync's future does:
+// the same completion order and times and the same kernel counters. The
+// programs mix zero and sub-epsilon jobs, which complete inside their own
+// submission and must not park.
+func TestPSServeMatchesServeAsyncWait(t *testing.T) {
+	run := func(seed int64, serve func(ps *PS, p *Proc, w float64)) ([]string, Stats) {
+		rng := rand.New(rand.NewSource(seed))
+		k := NewKernel()
+		defer k.Close()
+		ps := NewPS(k, 1+3*rng.Float64(), rng.Float64())
+		var trace []string
+		for i := 0; i < 24; i++ {
+			at := Time(rng.Intn(5000)) * Millisecond
+			works := make([]float64, 1+rng.Intn(4))
+			for j := range works {
+				switch rng.Intn(6) {
+				case 0:
+					works[j] = 0
+				case 1:
+					works[j] = psEpsilon / 10
+				default:
+					works[j] = 5 * rng.Float64()
+				}
+			}
+			k.Go(fmt.Sprint("p", i), func(p *Proc) {
+				p.Sleep(at)
+				for j, w := range works {
+					serve(ps, p, w)
+					trace = append(trace, fmt.Sprintf("%s.%d@%d", p.Name(), j, p.Now()))
+				}
+			})
+		}
+		k.Run()
+		return trace, k.Stats()
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		got, gotSt := run(seed, func(ps *PS, p *Proc, w float64) { ps.Serve(p, w) })
+		want, wantSt := run(seed, func(ps *PS, p *Proc, w float64) { ps.ServeAsync(w).Wait(p) })
+		if fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
+			t.Fatalf("seed %d: Serve replays\n%v %+v\nServeAsync+Wait replays\n%v %+v",
+				seed, got, gotSt, want, wantSt)
+		}
+	}
 }

@@ -36,8 +36,7 @@ func (f *Future[T]) Set(v T) {
 	cbs := f.cbs
 	f.cbs = nil
 	for _, p := range waiters {
-		p := p
-		f.k.Schedule(0, func() { p.step() })
+		f.k.Schedule(0, p.wake)
 	}
 	for _, cb := range cbs {
 		cb := cb
@@ -149,9 +148,8 @@ func (c *Chan[T]) Close() {
 		recvq := c.recvq
 		c.recvq = nil
 		for _, r := range recvq {
-			r := r
 			r.set = true
-			c.k.Schedule(0, func() { r.p.step() })
+			c.k.Schedule(0, r.p.wake)
 		}
 	}
 }
@@ -170,7 +168,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		r := c.recvq[0]
 		c.recvq = c.recvq[1:]
 		r.val, r.ok, r.set = v, true, true
-		c.k.Schedule(0, func() { r.p.step() })
+		c.k.Schedule(0, r.p.wake)
 		return
 	}
 	if len(c.buf) < c.cap {
@@ -197,7 +195,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 			c.sendq = c.sendq[1:]
 			c.buf = append(c.buf, s.val)
 			s.ok = true
-			c.k.Schedule(0, func() { s.p.step() })
+			c.k.Schedule(0, s.p.wake)
 		}
 		return v, true
 	}
@@ -205,7 +203,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 		s := c.sendq[0]
 		c.sendq = c.sendq[1:]
 		s.ok = true
-		c.k.Schedule(0, func() { s.p.step() })
+		c.k.Schedule(0, s.p.wake)
 		return s.val, true
 	}
 	if c.closed {
@@ -231,7 +229,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 			c.sendq = c.sendq[1:]
 			c.buf = append(c.buf, s.val)
 			s.ok = true
-			c.k.Schedule(0, func() { s.p.step() })
+			c.k.Schedule(0, s.p.wake)
 		}
 		return v, true
 	}
@@ -239,7 +237,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 		s := c.sendq[0]
 		c.sendq = c.sendq[1:]
 		s.ok = true
-		c.k.Schedule(0, func() { s.p.step() })
+		c.k.Schedule(0, s.p.wake)
 		return s.val, true
 	}
 	var zero T
@@ -267,8 +265,7 @@ func (wg *WaitGroup) Add(n int) {
 		waiters := wg.waiters
 		wg.waiters = nil
 		for _, p := range waiters {
-			p := p
-			wg.k.Schedule(0, func() { p.step() })
+			wg.k.Schedule(0, p.wake)
 		}
 	}
 }
@@ -309,7 +306,7 @@ func (c *Cond) Signal() {
 	}
 	p := c.waiters[0]
 	c.waiters = c.waiters[1:]
-	c.k.Schedule(0, func() { p.step() })
+	c.k.Schedule(0, p.wake)
 }
 
 // Broadcast wakes every waiting process.
@@ -318,7 +315,7 @@ func (c *Cond) Broadcast() {
 	c.waiters = nil
 	for _, p := range waiters {
 		p := p
-		c.k.Schedule(0, func() { p.step() })
+		c.k.Schedule(0, p.wake)
 	}
 }
 
@@ -369,8 +366,7 @@ func (s *Semaphore) Release(n int) {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
 		s.tokens -= w.n
-		p := w.p
-		s.k.Schedule(0, func() { p.step() })
+		s.k.Schedule(0, w.p.wake)
 	}
 }
 

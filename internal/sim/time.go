@@ -1,9 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and executes events in (time, sequence)
-// order. Simulated processes are ordinary goroutines, but the kernel enforces
-// a strict handoff discipline: at most one goroutine (either the kernel loop
-// or a single process) is runnable at any instant, so simulations are fully
+// order. Simulated processes are coroutines (iter.Pull) run on pooled
+// workers: the kernel loop switches to one process at a time and gets
+// control back when it parks or exits, so simulations are fully
 // deterministic and race-free without locks in model code.
 package sim
 

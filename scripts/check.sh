@@ -13,6 +13,9 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
+# The zero-allocation wake-up test is built without -race only (the race
+# detector allocates on coroutine switches), so run it once more here.
+go test -run Alloc ./internal/sim
 # The benchmark is a module of its own, so the root `go test ./...` does
 # not enter it. Its tests run each workload once in small shape and
 # check it: churn's departed + rejected == arrived, and every pass
