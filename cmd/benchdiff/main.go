@@ -8,9 +8,8 @@
 //
 // Usage:
 //
-//	go test -bench . -benchtime 1x | benchdiff                 # compare
-//	go test -bench . -benchtime 1x | benchdiff -update         # re-baseline
-//	go test -bench . -benchtime 1x | benchdiff -write BENCH_2026-08-06.json
+//	go test -bench . -benchtime 1x | benchdiff          # compare
+//	go test -bench . -benchtime 1x | benchdiff -update  # re-baseline
 //
 // Only metrics present in the input are compared, so a smoke run over a
 // benchmark subset checks just that subset. A metric in the input but not
@@ -37,7 +36,6 @@ func fatal(format string, args ...any) {
 
 func main() {
 	baseline := flag.String("baseline", "scripts/bench_baseline.json", "committed baseline metrics file")
-	write := flag.String("write", "", "also write the observed metrics to this file as JSON")
 	update := flag.Bool("update", false, "overwrite the baseline with the observed metrics instead of comparing")
 	tol := flag.Float64("tol", 1e-6, "relative tolerance for metric comparison")
 	flag.Parse()
@@ -50,12 +48,6 @@ func main() {
 		fatal("no gated metrics found on stdin (pipe `go test -bench` output in)")
 	}
 
-	if *write != "" {
-		if err := writeJSON(*write, observed); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchdiff: wrote %d metric(s) to %s\n", len(observed), *write)
-	}
 	if *update {
 		if err := writeJSON(*baseline, observed); err != nil {
 			fatal("%v", err)

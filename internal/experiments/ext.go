@@ -90,10 +90,7 @@ func extWorkload(d *WideDeployment) *sim.Future[struct{}] {
 		}
 	}
 	return d.Job.Launch("app", func(p *sim.Proc, rk *mpi.Rank) {
-		for i := 0; i < 4000; i++ {
-			rk.FTProbe(p)
-			rk.Compute(p, 0.2)
-		}
+		rk.ComputeLoop(p, 4000, 0.2)
 	})
 }
 

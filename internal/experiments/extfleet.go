@@ -51,7 +51,9 @@ const (
 	wanBandwidthBps = 1.25e9
 	// fleetAppIters is each job's iteration count; the apps must outlive
 	// the directive so late migrations still find ranks to quiesce
-	// (3000 × 0.2 s ≈ 600 s of compute).
+	// (3000 × 0.2 s ≈ 600 s of compute). They run as compute chains
+	// (mpi.Rank.ComputeLoop), so an iteration costs a kernel event only
+	// where a checkpoint or a stop surfaces it.
 	fleetAppIters = 3000
 	// fleetDrainCap is the matrix's rolling-maintenance jobs-in-flight cap
 	// per mini-plan.
@@ -209,10 +211,7 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 			IBCapable: j%2 == 0,
 		})
 		d.Apps = append(d.Apps, job.Launch(name, func(p *sim.Proc, rk *mpi.Rank) {
-			for i := 0; i < fleetAppIters; i++ {
-				rk.FTProbe(p)
-				rk.Compute(p, 0.2)
-			}
+			rk.ComputeLoop(p, fleetAppIters, 0.2)
 		}))
 	}
 	return d, nil

@@ -111,10 +111,7 @@ func runRDMAScenario(sc rdmaScenario) (RDMARow, error) {
 	}
 
 	app := d.Job.Launch("app", func(p *sim.Proc, rk *mpi.Rank) {
-		for i := 0; i < 1600; i++ {
-			rk.FTProbe(p)
-			rk.Compute(p, 0.2)
-		}
+		rk.ComputeLoop(p, 1600, 0.2)
 	})
 
 	var rep ninja.Report

@@ -29,9 +29,11 @@ func (j *Job) RequestCheckpoint() (*sim.Future[struct{}], error) {
 	j.ckptStats = nil
 	j.ckptDone = sim.NewFuture[struct{}](j.k)
 	// Interrupt blocked communication calls so every rank can join the
-	// coordination even mid-collective.
+	// coordination even mid-collective, and compute chains so each rank
+	// probes at the end of its current iteration.
 	for _, r := range j.ranks {
 		r.wake.Broadcast()
+		r.chain.Surface()
 	}
 	return j.ckptDone, nil
 }

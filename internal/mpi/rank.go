@@ -43,6 +43,9 @@ type Rank struct {
 	spinDepth int
 	spinPS    *sim.PS
 
+	// chain is the rank's ComputeLoop chain, surfaced by RequestCheckpoint.
+	chain sim.Chain
+
 	// sendrecvName and isendName name the helper processes Sendrecv and
 	// Isend start, built once per rank rather than per call.
 	sendrecvName, isendName string
@@ -125,6 +128,24 @@ func (r *Rank) SetCRS(s crs.Service) { r.crs = s }
 // under contention and the VM run gate.
 func (r *Rank) Compute(p *sim.Proc, coreSeconds float64) {
 	r.vm.Compute(p, coreSeconds)
+}
+
+// ComputeLoop runs `for i := 0; i < n; i++ { FTProbe; Compute(q) }`, the
+// iterating application of Ninja's experiments. Between probes that find
+// nothing pending the iterations run as one VM compute chain, so they cost
+// no kernel event; RequestCheckpoint and a VM stop surface the chain at
+// the end of the current iteration, where the loop would next probe. An
+// iteration that starts with a checkpoint pending runs eagerly.
+func (r *Rank) ComputeLoop(p *sim.Proc, n int, q float64) {
+	for n > 0 {
+		r.FTProbe(p)
+		if r.job.ckptPending {
+			r.Compute(p, q)
+			n--
+			continue
+		}
+		n -= r.vm.ComputeChain(p, &r.chain, n, q)
+	}
 }
 
 // TransportTo reports the module name the rank would use to reach peer —

@@ -299,24 +299,27 @@ func (c *Cond) Wait(p *Proc) {
 	p.park()
 }
 
-// Signal wakes the longest-waiting process, if any.
+// Signal wakes the longest-waiting process, if any. The waiter array is
+// kept, so later Waits append without allocating.
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	c.k.Schedule(0, p.wake)
 }
 
-// Broadcast wakes every waiting process.
+// Broadcast wakes every waiting process, keeping the waiter array for
+// later Waits.
 func (c *Cond) Broadcast() {
-	waiters := c.waiters
-	c.waiters = nil
-	for _, p := range waiters {
-		p := p
+	for i, p := range c.waiters {
+		c.waiters[i] = nil
 		c.k.Schedule(0, p.wake)
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Waiting returns the number of parked waiters.

@@ -69,6 +69,7 @@ type VM struct {
 
 	state     State
 	runCond   *sim.Cond
+	chains    []*sim.Chain // ComputeChain runs in progress, surfaced by Stop
 	migActive bool
 	noiseOn   bool
 	saved     bool
@@ -200,8 +201,15 @@ func (vm *VM) SetHotplugNoise(on bool) { vm.noiseOn = on }
 // Migrations returns stats of completed migrations, oldest first.
 func (vm *VM) Migrations() []MigrationStats { return vm.migs }
 
-// Stop halts the vCPUs (QMP "stop").
-func (vm *VM) Stop() { vm.state = Stopped }
+// Stop halts the vCPUs (QMP "stop"). A ComputeChain in progress surfaces
+// when its current quantum completes, where Compute would next check the
+// run gate.
+func (vm *VM) Stop() {
+	vm.state = Stopped
+	for _, c := range vm.chains {
+		c.Surface()
+	}
+}
 
 // Cont resumes the vCPUs (QMP "cont").
 func (vm *VM) Cont() {
@@ -231,6 +239,27 @@ func (vm *VM) Compute(p *sim.Proc, coreSeconds float64) {
 		vm.node.CPU.Serve(p, chunk)
 		coreSeconds -= chunk
 	}
+}
+
+// ComputeChain runs up to n back-to-back Compute(p, q) calls as one PS
+// chain on the current host, which costs no kernel event per quantum, and
+// returns how many ran: fewer than n if Stop or c.Surface cut the chain at
+// a quantum boundary. A stopped VM, or a q that Compute would split into
+// several quanta, runs one eager Compute instead.
+func (vm *VM) ComputeChain(p *sim.Proc, c *sim.Chain, n int, q float64) int {
+	if vm.state == Stopped || q > vm.cfg.ComputeQuantum || q <= 1e-12 {
+		vm.Compute(p, q)
+		return 1
+	}
+	vm.chains = append(vm.chains, c)
+	served := vm.node.CPU.ServeChain(p, c, n, q)
+	for i, x := range vm.chains {
+		if x == c {
+			vm.chains = append(vm.chains[:i], vm.chains[i+1:]...)
+			break
+		}
+	}
+	return served
 }
 
 // HostCPU returns the current host node's CPU resource (for charging

@@ -91,10 +91,7 @@ func (m *Memtest) Install(job *mpi.Job) error {
 // for pending checkpoints between passes.
 func (m *Memtest) Body(p *sim.Proc, r *mpi.Rank) {
 	perRank := m.ArrayBytes / float64(r.Job().RanksPerVM())
-	for pass := 0; pass < m.Passes; pass++ {
-		r.FTProbe(p)
-		r.Compute(p, perRank/MemWriteBandwidth)
-	}
+	r.ComputeLoop(p, m.Passes, perRank/MemWriteBandwidth)
 }
 
 // Uninstall removes the workload's regions (between experiment trials).

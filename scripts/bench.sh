@@ -8,7 +8,7 @@
 # rdma-*, ...) is a simulated observable and is gated.
 #
 # Usage:
-#   scripts/bench.sh            # full suite; writes BENCH_<date>.json
+#   scripts/bench.sh            # full suite
 #   scripts/bench.sh --smoke    # fast subset (Table 2 / Fig 6 / ablations)
 #   scripts/bench.sh --update   # intentionally re-baseline after a change
 #
@@ -39,8 +39,5 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 go test -run '^$' -bench "$pattern" -benchtime 1x . | tee "$out"
 
-if [ "$mode" = "" ]; then
-    diffargs="-write BENCH_$(date +%F).json"
-fi
 # shellcheck disable=SC2086
 go run ./cmd/benchdiff $diffargs <"$out"

@@ -4,6 +4,8 @@
 # from anywhere inside the repository.
 set -eux
 cd "$(dirname "$0")/.."
+# The ABBA comparison script is run by hand; check it at least parses.
+sh -n scripts/abba.sh
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
