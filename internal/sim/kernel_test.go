@@ -3,7 +3,20 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventSize pins the pooled event struct to the 64-byte allocation
+// size class on 64-bit platforms: one more field puts every queued event
+// in the 80-byte class.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes differ off 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event is %d bytes, want 64", n)
+	}
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	k := NewKernel()

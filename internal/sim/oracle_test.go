@@ -225,3 +225,32 @@ func TestKernelOracleDense(t *testing.T) {
 	defer k.Close()
 	diffTrace(t, "dense", run(&refEngine{}), run(&kernelEngine{k: k}))
 }
+
+// TestKernelOracleHighTimes floods the instants around 2^62 ns, so events
+// scheduled below it and events scheduled above it by their children
+// share fire times: a place must order them by seq at any time up to
+// MaxTime.
+func TestKernelOracleHighTimes(t *testing.T) {
+	run := func(eng oracleEngine) []string {
+		rng := rand.New(rand.NewSource(13))
+		var trace []string
+		eng.runUntil(Time(1)<<62 - 50)
+		var fire func(id int) func()
+		fire = func(id int) func() {
+			return func() {
+				trace = append(trace, fmt.Sprintf("%d@%d", id, eng.now()))
+				if id < 1000 {
+					eng.schedule(Time(rng.Int63n(40)), fire(id+500))
+				}
+			}
+		}
+		for i := 0; i < 500; i++ {
+			eng.schedule(Time(rng.Int63n(100)), fire(i))
+		}
+		eng.run()
+		return trace
+	}
+	k := NewKernel()
+	defer k.Close()
+	diffTrace(t, "high", run(&refEngine{}), run(&kernelEngine{k: k}))
+}
