@@ -3,11 +3,14 @@ package ninja
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/vmm"
 )
 
 // This file is the property-test lockdown of the degradation ladder: a
@@ -15,7 +18,8 @@ import (
 // run must (a) terminate — the MPI app finishes all iterations, no wedge,
 // (b) land on exactly one ladder rung out of {rdma-native, hotplug, tcp,
 // rollback} with an internally consistent Report, and (c) produce a
-// byte-identical fingerprint, kernel event counts included, on the rerun.
+// byte-identical fingerprint, kernel event counts included, on the rerun
+// and against the cell's block in testdata/ladder.golden.
 
 // ladderPlan is one cell of the matrix.
 type ladderPlan struct {
@@ -25,6 +29,7 @@ type ladderPlan struct {
 	dst    int  // 0 cross IB→IB, 1 IB→Ethernet, 2 self-migration
 	policy bool // DefaultRetryPolicy vs nil (fail-fast)
 	fault  int  // ladderFault* below
+	spare  bool // one healthy spare node beside the destinations
 }
 
 const (
@@ -35,7 +40,13 @@ const (
 	ladderFaultHCAMismatch // destination rejects foreign QP state: demotes
 	ladderFaultTrainStall  // destination link training stalls: degrades to tcp
 	ladderFaultDstCrash    // destination node dies: rollback in place
-	ladderFaultCount
+	ladderFaultCount       // the seeded sweep draws from the faults above
+
+	// Hand-picked cells only: VM 0's first transfer attempt fails (a
+	// dropped precopy socket, or an NFS outage that ends before the retry
+	// for cold), or every attempt fails until the budget runs out.
+	ladderFaultTransferOnce
+	ladderFaultTransferAlways
 )
 
 var ladderModeNames = [...]string{"rdma", "live", "attach-never", "cold"}
@@ -88,6 +99,16 @@ func ladderRun(t *testing.T, pl ladderPlan) (string, RungMode) {
 	default:
 		dsts = r.ibDsts(pl.nVMs) // current nodes: self-migration
 	}
+	if pl.spare {
+		spare := r.ib.Nodes[pl.nVMs] // next to the self-migration targets
+		switch pl.dst {
+		case 0:
+			spare = r.ib.Nodes[2*pl.nVMs]
+		case 1:
+			spare = r.eth.Nodes[pl.nVMs]
+		}
+		r.orch.opts.Spares = &testSpares{nodes: []*hw.Node{spare}}
+	}
 
 	// Arm the fault before the run; every arm is a one-shot consumed (or
 	// harmlessly ignored) by the first operation that reaches it.
@@ -114,6 +135,28 @@ func ladderRun(t *testing.T, pl ladderPlan) (string, RungMode) {
 		}
 	case ladderFaultDstCrash:
 		dsts[0].Fail()
+	case ladderFaultTransferOnce, ladderFaultTransferAlways:
+		once := pl.fault == ladderFaultTransferOnce
+		if pl.mode == 3 {
+			r.nfs.SetOffline(true)
+			if once {
+				r.k.Go("nfs-restore", func(p *sim.Proc) {
+					p.Sleep(62 * sim.Second)
+					r.nfs.SetOffline(false)
+				})
+			}
+			break
+		}
+		fired := false
+		r.vms[0].SetFaultHooks(&vmm.FaultHooks{
+			MigrationPass: func(v *vmm.VM, pass int) error {
+				if once && fired {
+					return nil
+				}
+				fired = true
+				return fmt.Errorf("test: socket dropped at precopy pass %d", pass)
+			},
+		})
 	}
 
 	const iters = 30
@@ -199,6 +242,25 @@ func ladderRun(t *testing.T, pl ladderPlan) (string, RungMode) {
 		rep.Mode, rep.Outcome, migErr, rep.RDMADemoted, rep.Retries, rep.SparesUsed, rep.DegradedToTCP)
 	fmt.Fprintf(&fp, "coord=%v detach=%v mig=%v attach=%v linkup=%v total=%v events=%d\n",
 		rep.Coordination, rep.Detach, rep.Migration, rep.Attach, rep.Linkup, rep.Total, len(rep.Events))
+	for _, e := range rep.Events {
+		fmt.Fprintf(&fp, "  %d %s %q %q %q\n", int64(e.At), e.Kind, e.Phase, e.Subject, e.Detail)
+	}
+	fmt.Fprintf(&fp, "vmstats nil=%v len=%d coldstats nil=%v len=%d\n",
+		rep.VMStats == nil, len(rep.VMStats), rep.ColdStats == nil, len(rep.ColdStats))
+	for _, st := range rep.VMStats {
+		rdma := "nil"
+		if q := st.RDMA; q != nil {
+			rdma = fmt.Sprintf("{qps=%d snap=%d resync=%d demoted=%v reason=%q}",
+				q.QPs, q.SnapshotBytes, int64(q.Resync), q.Demoted, q.DemoteReason)
+		}
+		fmt.Fprintf(&fp, "  mig %s->%s start=%d dur=%d down=%d iters=%d scanned=%g wire=%g logical=%g err=%v rdma=%s\n",
+			st.From, st.To, int64(st.Start), int64(st.Duration), int64(st.Downtime), st.Iterations,
+			st.ScannedBytes, st.WireBytes, st.LogicalBytes, st.Err, rdma)
+	}
+	for _, st := range rep.ColdStats {
+		fmt.Fprintf(&fp, "  cold %s->%s image=%g save=%d restore=%d\n",
+			st.From, st.To, st.ImageBytes, int64(st.SaveTime), int64(st.RestoreTime))
+	}
 	for i, vm := range r.vms {
 		fmt.Fprintf(&fp, "vm%d@%s ", i, vm.Node().Name)
 	}
@@ -211,7 +273,10 @@ func ladderRun(t *testing.T, pl ladderPlan) (string, RungMode) {
 }
 
 // TestLadderPropertyMatrix runs four hand-picked cells that pin one rung
-// each, plus a seeded random sweep, each run twice.
+// each, nine that drive the per-VM transfer retry of each transfer mode
+// (live, RDMA-native, cold) through a retry that succeeds, a budget that
+// runs out and a spare substitution, plus a seeded random sweep, each run
+// twice.
 func TestLadderPropertyMatrix(t *testing.T) {
 	plans := []ladderPlan{
 		{name: "pin-rdma-native", nVMs: 2, mode: 0, dst: 0, policy: true, fault: ladderFaultNone},
@@ -219,9 +284,19 @@ func TestLadderPropertyMatrix(t *testing.T) {
 		{name: "pin-tcp", nVMs: 2, mode: 1, dst: 1, policy: true, fault: ladderFaultNone},
 		{name: "pin-rollback", nVMs: 2, mode: 1, dst: 1, policy: false, fault: ladderFaultDstCrash},
 	}
+	for _, m := range []struct {
+		name      string
+		mode, dst int
+	}{{"live", 1, 1}, {"rdma", 0, 0}, {"cold", 3, 1}} {
+		plans = append(plans,
+			ladderPlan{name: m.name + "-retry-ok", nVMs: 2, mode: m.mode, dst: m.dst, policy: true, fault: ladderFaultTransferOnce},
+			ladderPlan{name: m.name + "-retry-exhausted", nVMs: 2, mode: m.mode, dst: m.dst, policy: true, fault: ladderFaultTransferAlways},
+			ladderPlan{name: m.name + "-spare", nVMs: 2, mode: m.mode, dst: m.dst, policy: true, fault: ladderFaultDstCrash, spare: true})
+	}
 	for seed := int64(0); seed < 10; seed++ {
 		plans = append(plans, ladderPlanFromSeed(seed))
 	}
+	golden := ladderGolden(t)
 
 	seen := map[RungMode]string{}
 	for _, pl := range plans {
@@ -232,6 +307,9 @@ func TestLadderPropertyMatrix(t *testing.T) {
 			if fp1 != fp2 {
 				t.Errorf("rerun fingerprints diverge:\nrun 1: %srun 2: %s", fp1, fp2)
 			}
+			if want := golden[pl.name]; fp1 != want {
+				t.Errorf("fingerprint differs from testdata/ladder.golden:\n got: %swant: %s", fp1, want)
+			}
 			seen[rung] = pl.name
 		})
 	}
@@ -240,4 +318,20 @@ func TestLadderPropertyMatrix(t *testing.T) {
 			t.Errorf("matrix never terminated on rung %q", rung)
 		}
 	}
+}
+
+// ladderGolden reads testdata/ladder.golden: one "== <cell name>" line
+// followed by that cell's fingerprint, per cell.
+func ladderGolden(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "ladder.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]string{}
+	for _, block := range strings.Split(string(b), "== ")[1:] {
+		name, fp, _ := strings.Cut(block, "\n")
+		cells[name] = fp
+	}
+	return cells
 }
