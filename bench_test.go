@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/churn"
 	"repro/internal/experiments"
@@ -441,29 +440,6 @@ func BenchmarkExtBypassOverhead(b *testing.B) {
 		b.ReportMetric(r.Bandwidth1GB/1e9, "sim-"+r.Mode+"-GBps")
 	}
 }
-
-// fleetScaleBench runs the synthetic fleet-scale kernel workload (see
-// internal/experiments/scale.go), reporting events/sec and allocs/op: the
-// kernel event queue's row of the wall-clock ledger.
-func fleetScaleBench(b *testing.B, jobs int) {
-	const iters = 200
-	b.ReportAllocs()
-	var res experiments.FleetScaleResult
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		res = experiments.FleetScaleSim(jobs, iters)
-	}
-	wall := time.Since(start).Seconds()
-	events := float64(res.Stats.Executed) * float64(b.N)
-	if wall > 0 {
-		b.ReportMetric(events/wall, "events/sec")
-	}
-	b.ReportMetric(float64(res.Stats.Executed), "events/op")
-}
-
-func BenchmarkFleetScale8(b *testing.B)   { fleetScaleBench(b, 8) }
-func BenchmarkFleetScale32(b *testing.B)  { fleetScaleBench(b, 32) }
-func BenchmarkFleetScale128(b *testing.B) { fleetScaleBench(b, 128) }
 
 // BenchmarkFarmSweep runs a small Monte Carlo sweep (4 directives × 3
 // fault plans × 2 seeds, 2-job fleets) through the simfarm worker pool and

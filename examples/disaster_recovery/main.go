@@ -39,14 +39,14 @@ func main() {
 	// Tsunami warning at t+60 s: evacuate to the remote Ethernet site.
 	if err := sched.Plan(scheduler.Event{
 		At: epoch + 60*sim.Second, Reason: scheduler.DisasterRecovery,
-		Dsts: d.DstNodes(4), HostPCIID: "04:00.0",
+		Dsts: d.DstNodes(4),
 	}); err != nil {
 		log.Fatal(err)
 	}
 	// All-clear at t+400 s: recover to the InfiniBand site.
 	if err := sched.Plan(scheduler.Event{
 		At: epoch + 400*sim.Second, Reason: scheduler.Recovery,
-		Dsts: d.SrcNodes(4), HostPCIID: "04:00.0",
+		Dsts: d.SrcNodes(4),
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 const DeviceTag = "vf0"
 
 // DefaultHostPCIID is the host PCI address of the HCA on the paper's
-// nodes, provided by the cloud scheduler.
+// nodes, which device_add passes through.
 const DefaultHostPCIID = "04:00.0"
 
 // Outcome summarizes how a Ninja migration concluded.
@@ -85,9 +85,11 @@ type Report struct {
 	Linkup sim.Time
 	// Total is trigger-to-resume.
 	Total sim.Time
-	// VMStats are the per-VM live-migration statistics (live mode).
+	// VMStats are the per-VM live-migration statistics (live and
+	// RDMA-native modes; nil for cold runs).
 	VMStats []vmm.MigrationStats
-	// ColdStats are the per-VM save/restore statistics (cold mode).
+	// ColdStats are the per-VM save/restore statistics (cold mode; nil
+	// otherwise). A VM whose transfer failed keeps zero stats.
 	ColdStats []vmm.ColdStats
 
 	// Outcome classifies the run (clean / retried-ok / degraded-to-tcp /
@@ -115,14 +117,9 @@ func (r Report) Hotplug() sim.Time { return r.Detach + r.Attach }
 
 // Options tune an orchestrator.
 type Options struct {
-	// HostPCIID is what the scheduler reports as the HCA's host address.
-	HostPCIID string
-	// ConfirmTime overrides the per-phase script confirmation cost
-	// (defaults to the VMM parameter).
-	ConfirmTime sim.Time
 	// Retry bounds phases in simulated time and enables retries and
-	// graceful degradation. nil reproduces the original fail-fast script:
-	// any phase error rolls the job back in place immediately.
+	// graceful degradation. nil means the zero RetryPolicy: the original
+	// fail-fast script, where any phase error rolls the job back in place.
 	Retry *RetryPolicy
 	// Spares supplies replacement destinations when a planned destination
 	// node fails mid-migration (typically scheduler.NewSpares).
@@ -154,8 +151,8 @@ var ErrShape = errors.New("ninja: destination list does not match VM list")
 // paper, installed without modifying the MPI library or the application.
 func New(job *mpi.Job, opts Options) *Orchestrator {
 	k := job.Kernel()
-	if opts.HostPCIID == "" {
-		opts.HostPCIID = DefaultHostPCIID
+	if opts.Retry == nil {
+		opts.Retry = &RetryPolicy{}
 	}
 	o := &Orchestrator{k: k, job: job, opts: opts, events: metrics.NewEventLog(k.Now)}
 
@@ -177,7 +174,7 @@ func New(job *mpi.Job, opts Options) *Orchestrator {
 				coord.Hold(p)
 				g := r.VM().Guest()
 				if _, ok := g.IBDevice(); ok {
-					if err := g.WaitIBLinkupTimeout(p, o.linkupTimeout()); err != nil {
+					if err := g.WaitIBLinkupTimeout(p, o.opts.Retry.LinkupTimeout); err != nil {
 						// Recoverable: a port stuck in POLLING (or never
 						// powered) must not wedge the rank. Drop the IB
 						// binding so BTL reconstruction selects tcp and
@@ -188,32 +185,15 @@ func New(job *mpi.Job, opts Options) *Orchestrator {
 			},
 		}))
 	}
-	confirm := opts.ConfirmTime
-	if confirm <= 0 {
-		confirm = job.VMs()[0].Params().ConfirmTime
-	}
-	o.ctl = symvirt.NewController(k, o.tgts, confirm)
+	o.ctl = symvirt.NewController(k, o.tgts, job.VMs()[0].Params().ConfirmTime)
 	return o
 }
 
 // Job returns the orchestrated MPI job.
 func (o *Orchestrator) Job() *mpi.Job { return o.job }
 
-// Controller returns the SymVirt controller (for custom scripts).
-func (o *Orchestrator) Controller() *symvirt.Controller { return o.ctl }
-
-// Targets returns the VM/coordinator pairs.
-func (o *Orchestrator) Targets() []symvirt.Target { return o.tgts }
-
 // Events returns the orchestrator's full event log (across runs).
 func (o *Orchestrator) Events() *metrics.EventLog { return o.events }
-
-func (o *Orchestrator) linkupTimeout() sim.Time {
-	if o.opts.Retry == nil {
-		return 0 // unbounded, as in the original script
-	}
-	return o.opts.Retry.LinkupTimeout
-}
 
 // noteLinkupFailure implements the bottom rung of the degradation ladder
 // from inside a guest rank: IB never came up, so the VM continues over
@@ -315,10 +295,6 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 	// the caller's plan stays intact.
 	dsts = append([]*hw.Node(nil), dsts...)
 	pol := o.opts.Retry
-	var coordT, detachT, migT, attachT sim.Time
-	if pol != nil {
-		coordT, detachT, migT, attachT = pol.CoordTimeout, pol.DetachTimeout, pol.MigrateTimeout, pol.AttachTimeout
-	}
 	o.retries, o.sparesUsed, o.degraded = 0, 0, 0
 	evMark := o.events.Len()
 	start := p.Now()
@@ -370,14 +346,7 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 	}
 
 	// Phase 0 — coordination: all processes quiesce into SymVirt wait.
-	// A quiesce that never completes cannot be rolled back (signalling
-	// before wait_all is a protocol violation), so a timeout here is
-	// surfaced as-is.
-	if err := o.watch(p, "coordination", coordT, func(wp *sim.Proc) error {
-		o.ctl.WaitAll(wp)
-		return nil
-	}); err != nil {
-		o.events.Record(metrics.EventPhaseTimeout, "coordination", "", err.Error())
+	if err := o.barrier(p, "coordination"); err != nil {
 		finish(OutcomeRolledBack)
 		return rep, err
 	}
@@ -424,7 +393,7 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 			}
 		}
 		if anyHCA {
-			_ = o.ctl.DeviceAttach(p, DeviceTag, o.opts.HostPCIID) // best effort, idempotent
+			_ = o.ctl.DeviceAttach(p, DeviceTag, DefaultHostPCIID) // best effort, idempotent
 		}
 		_ = o.ctl.Signal(symvirt.TokenProceed)
 		if st == stageDetach {
@@ -447,7 +416,7 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 	// device rides along and its QP state is replayed at the stop-point.
 	mark := p.Now()
 	if mode != RDMANative {
-		if err := o.retryPhase(p, "detach", detachT, func(wp *sim.Proc) error {
+		if err := o.retryPhase(p, "detach", pol.DetachTimeout, func(wp *sim.Proc) error {
 			return o.ctl.DeviceDetach(wp, DeviceTag)
 		}); err != nil {
 			return abort(stageDetach, "detach", err)
@@ -460,70 +429,30 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 		return rep, err
 	}
 
-	// Phase 2 — parallel live migration.
-	if err := o.watch(p, "pre-migration wait_all", coordT, func(wp *sim.Proc) error {
-		o.ctl.WaitAll(wp)
-		return nil
-	}); err != nil {
-		o.events.Record(metrics.EventPhaseTimeout, "pre-migration wait_all", "", err.Error())
+	// Phase 2 — parallel transfer, the same fan-out and retry loop for
+	// every mode (see transfer).
+	if err := o.barrier(p, "pre-migration wait_all"); err != nil {
 		finish(OutcomeRolledBack)
 		return rep, err
 	}
 	mark = p.Now()
-	switch mode {
-	case RDMANative:
-		var stats []vmm.MigrationStats
-		err := o.watch(p, "rdma migration", migT, func(wp *sim.Proc) error {
-			st, e := o.ctl.MigrateTransparent(wp, dsts, o.resyncTimeout())
-			stats = st
-			return e
-		})
-		if err != nil && pol != nil {
-			stats, err = o.recoverTransparent(p, dsts, stats, err)
+	tr := o.transfer(mode)
+	stats, err := o.migrate(p, tr, dsts)
+	tr.fill(&rep, stats)
+	if err != nil {
+		return abort(stageMigrate, tr.phase, err)
+	}
+	// Only RDMA-native transfers carry QP replay stats.
+	for i, st := range rep.VMStats {
+		if st.RDMA != nil && st.RDMA.Demoted {
+			rdmaDemotions++
+			o.events.Record(metrics.EventRDMADemoted, "resync", o.tgts[i].VM.Name(), st.RDMA.DemoteReason)
 		}
-		rep.VMStats = stats
-		if err != nil {
-			return abort(stageMigrate, "rdma migration", err)
-		}
-		for i, st := range stats {
-			if st.RDMA != nil && st.RDMA.Demoted {
-				rdmaDemotions++
-				o.events.Record(metrics.EventRDMADemoted, "resync", o.tgts[i].VM.Name(), st.RDMA.DemoteReason)
-			}
-		}
-		if rdmaDemotions > 0 {
-			// Demoted VMs hold stale QP caches; dropping the transparent
-			// flag makes the continue path run a full BTL reconstruction.
-			o.job.SetTransparentCkpt(false)
-		}
-	case Cold:
-		var stats []vmm.ColdStats
-		err := o.watch(p, "cold migration", migT, func(wp *sim.Proc) error {
-			st, e := o.ctl.ColdMigrate(wp, dsts)
-			stats = st
-			return e
-		})
-		if err != nil && pol != nil {
-			stats, err = o.recoverCold(p, dsts, stats, err)
-		}
-		rep.ColdStats = stats
-		if err != nil {
-			return abort(stageMigrate, "cold migration", err)
-		}
-	default:
-		var stats []vmm.MigrationStats
-		err := o.watch(p, "migration", migT, func(wp *sim.Proc) error {
-			st, e := o.ctl.Migrate(wp, dsts)
-			stats = st
-			return e
-		})
-		if err != nil && pol != nil {
-			stats, err = o.recoverLive(p, dsts, stats, err)
-		}
-		rep.VMStats = stats
-		if err != nil {
-			return abort(stageMigrate, "migration", err)
-		}
+	}
+	if rdmaDemotions > 0 {
+		// Demoted VMs hold stale QP caches; dropping the transparent
+		// flag makes the continue path run a full BTL reconstruction.
+		o.job.SetTransparentCkpt(false)
 	}
 	rep.Migration = p.Now() - mark
 
@@ -542,19 +471,15 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 		if err := o.ctl.Signal(symvirt.TokenHold); err != nil {
 			return rep, err
 		}
-		if err := o.watch(p, "pre-attach wait_all", coordT, func(wp *sim.Proc) error {
-			o.ctl.WaitAll(wp)
-			return nil
-		}); err != nil {
-			o.events.Record(metrics.EventPhaseTimeout, "pre-attach wait_all", "", err.Error())
+		if err := o.barrier(p, "pre-attach wait_all"); err != nil {
 			finish(OutcomeRolledBack)
 			return rep, err
 		}
 		mark = p.Now()
-		if err := o.retryPhase(p, "attach", attachT, func(wp *sim.Proc) error {
-			return o.ctl.DeviceAttach(wp, DeviceTag, o.opts.HostPCIID)
+		if err := o.retryPhase(p, "attach", pol.AttachTimeout, func(wp *sim.Proc) error {
+			return o.ctl.DeviceAttach(wp, DeviceTag, DefaultHostPCIID)
 		}); err != nil {
-			if pol != nil && pol.DegradeToTCP {
+			if pol.DegradeToTCP {
 				// Next rung of the degradation ladder: run on the
 				// destination without InfiniBand rather than migrate
 				// back. Every VM that should have the device but does
@@ -586,50 +511,6 @@ func (o *Orchestrator) run(p *sim.Proc, dsts []*hw.Node, policy AttachPolicy, mo
 	rep.Linkup = p.Now() - mark
 	finish(classify())
 	return rep, nil
-}
-
-// recoverLive retries failed per-VM live migrations under the policy,
-// substituting spare destinations for failed nodes. stats may be nil
-// (fan-out watchdog expiry); fanErr is the fan-out's error.
-func (o *Orchestrator) recoverLive(p *sim.Proc, dsts []*hw.Node, stats []vmm.MigrationStats, fanErr error) ([]vmm.MigrationStats, error) {
-	pol := o.opts.Retry
-	if stats == nil {
-		stats = make([]vmm.MigrationStats, len(o.tgts))
-	}
-	for i, t := range o.tgts {
-		failed := stats[i].Err != nil || t.VM.Node() != dsts[i]
-		if !failed {
-			continue
-		}
-		lastErr := stats[i].Err
-		if lastErr == nil {
-			lastErr = fmt.Errorf("ninja: %s not on destination after fan-out: %w", t.VM.Name(), fanErr)
-		}
-		backoff := pol.Backoff
-		for attempt := 2; attempt <= pol.attempts(); attempt++ {
-			if backoff > 0 {
-				p.Sleep(backoff)
-				backoff = pol.nextBackoff(backoff)
-			}
-			o.substituteSpare(dsts, i, t.VM.Name(), "migration")
-			o.events.Record(metrics.EventRetry, "migration", t.VM.Name(),
-				fmt.Sprintf("attempt %d/%d -> %s", attempt, pol.attempts(), dsts[i].Name))
-			st, err := o.ctl.MigrateOne(p, i, dsts[i])
-			if err == nil {
-				stats[i] = st
-				o.retries++
-				o.events.Record(metrics.EventRetryOK, "migration", t.VM.Name(), "")
-				lastErr = nil
-				break
-			}
-			lastErr = err
-			o.events.Record(metrics.EventPhaseError, "migration", t.VM.Name(), err.Error())
-		}
-		if lastErr != nil {
-			return stats, lastErr
-		}
-	}
-	return stats, nil
 }
 
 // rdmaPreflightFailure checks the RDMA-native preconditions across the
@@ -672,98 +553,6 @@ func (o *Orchestrator) terminalRung(out Outcome, policy AttachPolicy, rdmaReques
 		}
 		return ModeTCP
 	}
-}
-
-func (o *Orchestrator) resyncTimeout() sim.Time {
-	if o.opts.Retry == nil {
-		return 0 // use the VMM's default resync window
-	}
-	return o.opts.Retry.ResyncTimeout
-}
-
-// recoverTransparent is recoverLive for the RDMA-native fan-out: failed
-// per-VM migrations are retried through the transparent path (replay
-// demotions are not failures — they surface in the stats, not here).
-func (o *Orchestrator) recoverTransparent(p *sim.Proc, dsts []*hw.Node, stats []vmm.MigrationStats, fanErr error) ([]vmm.MigrationStats, error) {
-	pol := o.opts.Retry
-	if stats == nil {
-		stats = make([]vmm.MigrationStats, len(o.tgts))
-	}
-	for i, t := range o.tgts {
-		failed := stats[i].Err != nil || t.VM.Node() != dsts[i]
-		if !failed {
-			continue
-		}
-		lastErr := stats[i].Err
-		if lastErr == nil {
-			lastErr = fmt.Errorf("ninja: %s not on destination after fan-out: %w", t.VM.Name(), fanErr)
-		}
-		backoff := pol.Backoff
-		for attempt := 2; attempt <= pol.attempts(); attempt++ {
-			if backoff > 0 {
-				p.Sleep(backoff)
-				backoff = pol.nextBackoff(backoff)
-			}
-			o.substituteSpare(dsts, i, t.VM.Name(), "rdma migration")
-			o.events.Record(metrics.EventRetry, "rdma migration", t.VM.Name(),
-				fmt.Sprintf("attempt %d/%d -> %s", attempt, pol.attempts(), dsts[i].Name))
-			st, err := o.ctl.MigrateTransparentOne(p, i, dsts[i], o.resyncTimeout())
-			if err == nil {
-				stats[i] = st
-				o.retries++
-				o.events.Record(metrics.EventRetryOK, "rdma migration", t.VM.Name(), "")
-				lastErr = nil
-				break
-			}
-			lastErr = err
-			o.events.Record(metrics.EventPhaseError, "rdma migration", t.VM.Name(), err.Error())
-		}
-		if lastErr != nil {
-			return stats, lastErr
-		}
-	}
-	return stats, nil
-}
-
-// recoverCold is recoverLive for the checkpoint/restart path. Save is
-// idempotent across retries (a VM already suspended to image skips
-// straight to restore), so a restore-side failure retries cheaply.
-func (o *Orchestrator) recoverCold(p *sim.Proc, dsts []*hw.Node, stats []vmm.ColdStats, fanErr error) ([]vmm.ColdStats, error) {
-	pol := o.opts.Retry
-	if stats == nil {
-		stats = make([]vmm.ColdStats, len(o.tgts))
-	}
-	for i, t := range o.tgts {
-		failed := t.VM.Saved() || t.VM.Node() != dsts[i]
-		if !failed {
-			continue
-		}
-		lastErr := fmt.Errorf("ninja: %s not restored on destination: %w", t.VM.Name(), fanErr)
-		backoff := pol.Backoff
-		for attempt := 2; attempt <= pol.attempts(); attempt++ {
-			if backoff > 0 {
-				p.Sleep(backoff)
-				backoff = pol.nextBackoff(backoff)
-			}
-			o.substituteSpare(dsts, i, t.VM.Name(), "cold migration")
-			o.events.Record(metrics.EventRetry, "cold migration", t.VM.Name(),
-				fmt.Sprintf("attempt %d/%d -> %s", attempt, pol.attempts(), dsts[i].Name))
-			st, err := o.ctl.ColdMigrateOne(p, i, dsts[i])
-			if err == nil {
-				stats[i] = st
-				o.retries++
-				o.events.Record(metrics.EventRetryOK, "cold migration", t.VM.Name(), "")
-				lastErr = nil
-				break
-			}
-			lastErr = err
-			o.events.Record(metrics.EventPhaseError, "cold migration", t.VM.Name(), err.Error())
-		}
-		if lastErr != nil {
-			return stats, lastErr
-		}
-	}
-	return stats, nil
 }
 
 // substituteSpare replaces dsts[i] with a node from the spare pool when

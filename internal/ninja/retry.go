@@ -15,11 +15,11 @@ import (
 var ErrPhaseTimeout = errors.New("ninja: phase timed out")
 
 // RetryPolicy bounds every externally-visible wait of the Ninja script in
-// simulated time and governs how failures are retried. The zero value is
-// not useful — use DefaultRetryPolicy() and override fields. A nil
-// *RetryPolicy in Options disables watchdogs and retries entirely,
-// reproducing the original fail-fast script bit-for-bit (zero-fault runs
-// are unaffected either way: watchdog timers cancel without firing).
+// simulated time and governs how failures are retried. The zero value —
+// also what a nil Options.Retry means — is the original fail-fast script:
+// no watchdogs, one attempt per phase, rollback on any phase error.
+// DefaultRetryPolicy() is the recovering one (zero-fault runs are the same
+// under both: watchdog timers cancel without firing).
 type RetryPolicy struct {
 	// MaxAttempts is the per-phase attempt budget, including the first
 	// try. Values < 1 mean 1 (no retries).
@@ -76,7 +76,7 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 func (pol *RetryPolicy) attempts() int {
-	if pol == nil || pol.MaxAttempts < 1 {
+	if pol.MaxAttempts < 1 {
 		return 1
 	}
 	return pol.MaxAttempts
@@ -119,6 +119,21 @@ func (o *Orchestrator) watch(p *sim.Proc, name string, d sim.Time, op func(wp *s
 	return err
 }
 
+// barrier is the script's wait_all under the coordination watchdog. A
+// quiesce that never completes cannot be rolled back (signalling before
+// wait_all is a protocol violation), so the caller surfaces its timeout
+// as-is.
+func (o *Orchestrator) barrier(p *sim.Proc, name string) error {
+	err := o.watch(p, name, o.opts.Retry.CoordTimeout, func(wp *sim.Proc) error {
+		o.ctl.WaitAll(wp)
+		return nil
+	})
+	if err != nil {
+		o.events.Record(metrics.EventPhaseTimeout, name, "", err.Error())
+	}
+	return err
+}
+
 // retryPhase runs a fan-out phase with the policy's watchdog and attempt
 // budget: timeout or error → exponential backoff in simulated time → rerun.
 // Phases are written idempotently (detach skips already-removed devices,
@@ -127,10 +142,7 @@ func (o *Orchestrator) watch(p *sim.Proc, name string, d sim.Time, op func(wp *s
 func (o *Orchestrator) retryPhase(p *sim.Proc, name string, timeout sim.Time, op func(wp *sim.Proc) error) error {
 	pol := o.opts.Retry
 	attempts := pol.attempts()
-	backoff := sim.Time(0)
-	if pol != nil {
-		backoff = pol.Backoff
-	}
+	backoff := pol.Backoff
 	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {

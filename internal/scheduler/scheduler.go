@@ -55,8 +55,6 @@ type Event struct {
 	// Dsts is the destination host list (one node per VM, job order) —
 	// the information the scheduler owns.
 	Dsts []*hw.Node
-	// HostPCIID is the VMM-bypass device's host address at destinations.
-	HostPCIID string
 }
 
 // Outcome records a completed trigger.

@@ -151,16 +151,15 @@ func (c *Controller) Signal(tok Token) error {
 	return nil
 }
 
-// agentFanout runs op once per target in parallel agent processes and
-// blocks until all complete, collecting the first error.
-func (c *Controller) agentFanout(p *sim.Proc, name string, op func(ap *sim.Proc, t Target) error) error {
+// agentFanout runs op once per target (given its index) in parallel agent
+// processes and blocks until all complete, collecting the first error.
+func (c *Controller) agentFanout(p *sim.Proc, name string, op func(ap *sim.Proc, i int, t Target) error) error {
 	wg := sim.NewWaitGroup(c.k)
 	wg.Add(len(c.targets))
 	var firstErr error
-	for _, t := range c.targets {
-		t := t
+	for i, t := range c.targets {
 		c.k.Go(fmt.Sprintf("symvirt-agent/%s/%s", name, t.VM.Name()), func(ap *sim.Proc) {
-			if err := op(ap, t); err != nil && firstErr == nil {
+			if err := op(ap, i, t); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			wg.Done()
@@ -176,7 +175,7 @@ func (c *Controller) agentFanout(p *sim.Proc, name string, op func(ap *sim.Proc,
 // the same script works on Ethernet-only sources. Agents speak QMP, as in
 // the paper: device_del, then wait for the DEVICE_DELETED event.
 func (c *Controller) DeviceDetach(p *sim.Proc, tag string) error {
-	return c.agentFanout(p, "detach", func(ap *sim.Proc, t Target) error {
+	return c.agentFanout(p, "detach", func(ap *sim.Proc, _ int, t Target) error {
 		if _, _, ok := t.VM.Bus().FindByTag(tag); !ok {
 			return nil
 		}
@@ -200,7 +199,7 @@ func (c *Controller) DeviceDetach(p *sim.Proc, tag string) error {
 // DeviceAttach hot-plugs the host HCA into every VM whose current node has
 // one (script ctl.device_attach(host='04:00.0', tag='vf0')), via QMP.
 func (c *Controller) DeviceAttach(p *sim.Proc, tag, hostID string) error {
-	return c.agentFanout(p, "attach", func(ap *sim.Proc, t Target) error {
+	return c.agentFanout(p, "attach", func(ap *sim.Proc, _ int, t Target) error {
 		if t.VM.Node().HCA == nil {
 			return nil
 		}
@@ -224,138 +223,15 @@ func (c *Controller) DeviceAttach(p *sim.Proc, tag, hostID string) error {
 	})
 }
 
-// Migrate live-migrates every VM to the corresponding destination node,
-// in parallel, and returns the per-VM stats in target order (script
-// ctl.migration(src_hostlist, dst_hostlist)).
-func (c *Controller) Migrate(p *sim.Proc, dsts []*hw.Node) ([]vmm.MigrationStats, error) {
+// Migrate is the script's transfer step (ctl.migration(src_hostlist,
+// dst_hostlist)): one agent per VM, in parallel, each running op with its
+// VM's index and destination. It blocks until every agent completes and
+// returns the first error.
+func (c *Controller) Migrate(p *sim.Proc, name string, dsts []*hw.Node, op func(ap *sim.Proc, i int, dst *hw.Node) error) error {
 	if len(dsts) != len(c.targets) {
-		return nil, fmt.Errorf("%w: %d destinations for %d VMs", ErrScriptOrder, len(dsts), len(c.targets))
+		return fmt.Errorf("%w: %d destinations for %d VMs", ErrScriptOrder, len(dsts), len(c.targets))
 	}
-	stats := make([]vmm.MigrationStats, len(c.targets))
-	err := c.agentFanout(p, "migrate", func(ap *sim.Proc, t Target) error {
-		idx := indexOf(c.targets, t)
-		fut, err := t.VM.Monitor().Migrate(dsts[idx])
-		if err != nil {
-			stats[idx].Err = err
-			return err
-		}
-		stats[idx] = fut.Wait(ap)
-		return stats[idx].Err
+	return c.agentFanout(p, name, func(ap *sim.Proc, i int, _ Target) error {
+		return op(ap, i, dsts[i])
 	})
-	return stats, err
-}
-
-// MigrateOne live-migrates a single target (by index) to dst — the
-// orchestrator's per-VM retry primitive after a fanout partially failed.
-func (c *Controller) MigrateOne(p *sim.Proc, idx int, dst *hw.Node) (vmm.MigrationStats, error) {
-	if idx < 0 || idx >= len(c.targets) {
-		return vmm.MigrationStats{}, fmt.Errorf("%w: migrate index %d of %d", ErrScriptOrder, idx, len(c.targets))
-	}
-	t := c.targets[idx]
-	fut, err := t.VM.Monitor().Migrate(dst)
-	if err != nil {
-		return vmm.MigrationStats{}, err
-	}
-	st := fut.Wait(p)
-	return st, st.Err
-}
-
-// MigrateTransparent live-migrates every VM RDMA-natively (QP
-// checkpoint/replay; the passthrough device never detaches) to the
-// corresponding destination node, in parallel. resyncLimit bounds each
-// VM's destination-side QP resync (≤0 uses the VMM default). Per-VM
-// replay demotions are recorded in the stats, not surfaced as errors.
-func (c *Controller) MigrateTransparent(p *sim.Proc, dsts []*hw.Node, resyncLimit sim.Time) ([]vmm.MigrationStats, error) {
-	if len(dsts) != len(c.targets) {
-		return nil, fmt.Errorf("%w: %d destinations for %d VMs", ErrScriptOrder, len(dsts), len(c.targets))
-	}
-	stats := make([]vmm.MigrationStats, len(c.targets))
-	err := c.agentFanout(p, "migrate-rdma", func(ap *sim.Proc, t Target) error {
-		idx := indexOf(c.targets, t)
-		fut, err := t.VM.Monitor().MigrateTransparent(dsts[idx], resyncLimit)
-		if err != nil {
-			stats[idx].Err = err
-			return err
-		}
-		stats[idx] = fut.Wait(ap)
-		return stats[idx].Err
-	})
-	return stats, err
-}
-
-// MigrateTransparentOne RDMA-natively migrates a single target (by index)
-// to dst — the per-VM retry primitive for the transparent fan-out.
-func (c *Controller) MigrateTransparentOne(p *sim.Proc, idx int, dst *hw.Node, resyncLimit sim.Time) (vmm.MigrationStats, error) {
-	if idx < 0 || idx >= len(c.targets) {
-		return vmm.MigrationStats{}, fmt.Errorf("%w: migrate index %d of %d", ErrScriptOrder, idx, len(c.targets))
-	}
-	t := c.targets[idx]
-	fut, err := t.VM.Monitor().MigrateTransparent(dst, resyncLimit)
-	if err != nil {
-		return vmm.MigrationStats{}, err
-	}
-	st := fut.Wait(p)
-	return st, st.Err
-}
-
-// ColdMigrate checkpoint/restarts every VM through the shared store
-// (savevm on the source, loadvm on the destination) — the paper's
-// proactive fault-tolerance path. Returns per-VM stats in target order.
-func (c *Controller) ColdMigrate(p *sim.Proc, dsts []*hw.Node) ([]vmm.ColdStats, error) {
-	if len(dsts) != len(c.targets) {
-		return nil, fmt.Errorf("%w: %d destinations for %d VMs", ErrScriptOrder, len(dsts), len(c.targets))
-	}
-	stats := make([]vmm.ColdStats, len(c.targets))
-	err := c.agentFanout(p, "cold-migrate", func(ap *sim.Proc, t Target) error {
-		idx := indexOf(c.targets, t)
-		st, err := c.coldMigrateTarget(ap, t, dsts[idx])
-		if err != nil {
-			return err
-		}
-		stats[idx] = st
-		return nil
-	})
-	return stats, err
-}
-
-// ColdMigrateOne checkpoint/restarts a single target (by index) to dst.
-// Like ColdMigrate it is idempotent across retries: a VM already suspended
-// to image (a previous attempt failed after savevm) skips straight to the
-// restore.
-func (c *Controller) ColdMigrateOne(p *sim.Proc, idx int, dst *hw.Node) (vmm.ColdStats, error) {
-	if idx < 0 || idx >= len(c.targets) {
-		return vmm.ColdStats{}, fmt.Errorf("%w: cold-migrate index %d of %d", ErrScriptOrder, idx, len(c.targets))
-	}
-	return c.coldMigrateTarget(p, c.targets[idx], dst)
-}
-
-func (c *Controller) coldMigrateTarget(p *sim.Proc, t Target, dst *hw.Node) (vmm.ColdStats, error) {
-	var save vmm.ColdStats
-	if t.VM.Saved() {
-		// Retry after a failed restore: the image is already on the store.
-		save.From, save.ImageBytes = t.VM.Node().Name, t.VM.ImageBytes()
-	} else {
-		var err error
-		save, err = t.VM.SaveImage(p)
-		if err != nil {
-			return save, err
-		}
-	}
-	restore, err := t.VM.RestoreOn(p, dst)
-	if err != nil {
-		return save, err
-	}
-	return vmm.ColdStats{
-		From: save.From, To: restore.To, ImageBytes: save.ImageBytes,
-		SaveTime: save.SaveTime, RestoreTime: restore.RestoreTime,
-	}, nil
-}
-
-func indexOf(ts []Target, t Target) int {
-	for i := range ts {
-		if ts[i].VM == t.VM {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,6 +1,7 @@
 package symvirt
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/fabric"
@@ -186,15 +187,21 @@ func TestParallelMigrationFanout(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		stats, err := r.ctl.Migrate(p, []*hw.Node{r.eth.Nodes[0], r.eth.Nodes[1]})
+		stats := make([]vmm.MigrationStats, len(r.vms))
+		err := r.ctl.Migrate(p, "migrate", []*hw.Node{r.eth.Nodes[0], r.eth.Nodes[1]},
+			func(ap *sim.Proc, i int, dst *hw.Node) error {
+				fut, err := r.vms[i].Monitor().Migrate(dst)
+				if err != nil {
+					return err
+				}
+				stats[i] = fut.Wait(ap)
+				return stats[i].Err
+			})
 		if err != nil {
 			t.Errorf("migrate: %v", err)
 			return
 		}
 		done = p.Now() - start
-		if len(stats) != 2 {
-			t.Errorf("stats for %d VMs", len(stats))
-		}
 		for i, s := range stats {
 			if s.Duration <= 0 {
 				t.Errorf("VM %d migration duration %v", i, s.Duration)
@@ -218,8 +225,12 @@ func TestParallelMigrationFanout(t *testing.T) {
 func TestMigrateDestinationCountMismatch(t *testing.T) {
 	r := newRig(t, 2, 1)
 	r.k.Go("ctl", func(p *sim.Proc) {
-		if _, err := r.ctl.Migrate(p, []*hw.Node{r.eth.Nodes[0]}); err == nil {
-			t.Error("expected destination-count error")
+		err := r.ctl.Migrate(p, "migrate", []*hw.Node{r.eth.Nodes[0]}, func(*sim.Proc, int, *hw.Node) error {
+			t.Error("agent ran despite the destination-count mismatch")
+			return nil
+		})
+		if !errors.Is(err, ErrScriptOrder) {
+			t.Errorf("err = %v, want destination-count error", err)
 		}
 	})
 	r.k.Run()
@@ -233,13 +244,15 @@ func TestColdMigrateFanout(t *testing.T) {
 			t.Errorf("detach: %v", err)
 			return
 		}
-		stats, err := r.ctl.ColdMigrate(p, []*hw.Node{r.eth.Nodes[0], r.eth.Nodes[1]})
+		stats := make([]vmm.ColdStats, len(r.vms))
+		err := r.ctl.Migrate(p, "cold-migrate", []*hw.Node{r.eth.Nodes[0], r.eth.Nodes[1]},
+			func(ap *sim.Proc, i int, dst *hw.Node) (err error) {
+				stats[i], err = r.vms[i].ColdMigrate(ap, dst)
+				return err
+			})
 		if err != nil {
 			t.Errorf("cold migrate: %v", err)
 			return
-		}
-		if len(stats) != 2 {
-			t.Errorf("stats for %d VMs", len(stats))
 		}
 		for i, s := range stats {
 			if s.SaveTime <= 0 || s.RestoreTime <= 0 || s.ImageBytes <= 0 {

@@ -119,3 +119,28 @@ func (vm *VM) RestoreOn(p *sim.Proc, dst *hw.Node) (ColdStats, error) {
 	st.RestoreTime = p.Now() - start
 	return st, nil
 }
+
+// ColdMigrate checkpoint/restarts the VM onto dst: savevm to the shared
+// store, then loadvm on dst. It is idempotent across retries: a VM already
+// suspended to image (an earlier attempt failed after savevm) skips
+// straight to the restore. On error the stats are zero.
+func (vm *VM) ColdMigrate(p *sim.Proc, dst *hw.Node) (ColdStats, error) {
+	var save ColdStats
+	if vm.saved {
+		// Retry after a failed restore: the image is already on the store.
+		save.From, save.ImageBytes = vm.node.Name, vm.ImageBytes()
+	} else {
+		var err error
+		if save, err = vm.SaveImage(p); err != nil {
+			return ColdStats{}, err
+		}
+	}
+	restore, err := vm.RestoreOn(p, dst)
+	if err != nil {
+		return ColdStats{}, err
+	}
+	return ColdStats{
+		From: save.From, To: restore.To, ImageBytes: save.ImageBytes,
+		SaveTime: save.SaveTime, RestoreTime: restore.RestoreTime,
+	}, nil
+}

@@ -4,8 +4,9 @@
 # from anywhere inside the repository.
 set -eux
 cd "$(dirname "$0")/.."
-# The ABBA comparison script is run by hand; check it at least parses.
+# The ABBA comparison and LoC scripts are run by hand; check they parse.
 sh -n scripts/abba.sh
+sh -n scripts/loc.sh
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
