@@ -43,7 +43,8 @@ func ExpectLabel(l string) expect { return func(e *expectation) { e.label = l } 
 // testdata/golden/<name>.json and to emit exactly the trail of
 // testdata/golden/<name>.events.json. The golden files were written by
 // the ninjad job handler that predates this package, so they pin the
-// bytes ninjad commits and the events it streams.
+// bytes ninjad commits and the events it streams; sweep-default was
+// written by Run while the sweep matrices were still simfarm literals.
 func ExpectResult(name string) expect { return func(e *expectation) { e.golden = name } }
 
 // runSpec decodes body and checks every expectation in opts.
@@ -210,6 +211,7 @@ func TestSpecs(t *testing.T) {
 		{"result churn sweep", `{"kind":"sweep","matrix":"churn","jobs":8,"seeds":2,"fault_plans":["node-crash"],"parallelism":4}`,
 			[]expect{ExpectResult("churn-sweep")}},
 		{"result churn sweep plans", `{"kind":"sweep","matrix":"churn","fault_plans":["node-crash"]}`, []expect{ExpectResult("churn-sweep-plans")}},
+		{"result sweep default", `{"kind":"sweep","jobs":2,"seeds":2,"parallelism":2}`, []expect{ExpectResult("sweep-default")}},
 	} {
 		t.Run(c.name, func(t *testing.T) { runSpec(t, c.body, c.opts...) })
 	}
