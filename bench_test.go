@@ -18,6 +18,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/mpi"
 	"repro/internal/ninja"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simfarm"
 	"repro/internal/vmm"
@@ -448,7 +449,7 @@ func BenchmarkExtBypassOverhead(b *testing.B) {
 // any worker count — so benchdiff gates them at the same 1e-6 tolerance as
 // the sim-* family. Wall-clock throughput is reported ungated (runs/sec).
 func BenchmarkFarmSweep(b *testing.B) {
-	m := simfarm.DefaultMatrix(2, 2)
+	m := scenario.DefaultMatrix(2, 2)
 	var res *simfarm.Result
 	for i := 0; i < b.N; i++ {
 		f, err := simfarm.New(m, simfarm.Options{Parallelism: 4})

@@ -272,7 +272,7 @@ func runSpec(ctx context.Context, body string) int {
 // verifies the two summaries are byte-identical (the farm's core
 // determinism claim), and reports the wall-clock speedup.
 func runSweep(ctx context.Context, jobs, seeds int) (*metrics.Table, error) {
-	m := simfarm.DefaultMatrix(jobs, seeds)
+	m := scenario.DefaultMatrix(jobs, seeds)
 	fmt.Printf("ext-sweep: %d directive(s) × %d plan(s) × %d seed(s) = %d run(s)\n",
 		len(m.Directives), len(m.Plans), m.Seeds.Count, m.Runs())
 

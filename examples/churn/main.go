@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/churn"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/simfarm"
 )
 
@@ -65,7 +66,7 @@ func main() {
 	// Leg 3: the sweep view — each seed is a different workload, and the
 	// farm aggregates makespan/downtime percentiles per policy × plan row.
 	fmt.Println("== Monte Carlo sweep (8 seeded workloads per row) ==")
-	f, err := simfarm.New(simfarm.ChurnMatrix(24, 8), simfarm.Options{})
+	f, err := simfarm.New(scenario.ChurnMatrix(24, 8), simfarm.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 //   - PolicyGreedy: capacity-driven first-fit in node order — the
 //     affinity-blind baseline an online bin-packer would produce.
 //   - PolicySwap: best-fit by interconnect affinity on arrival, plus, on
-//     every arrival and departure, up to MaxSwapsPerEvent affinity-
+//     every arrival and departure, up to maxSwapsPerEvent affinity-
 //     improving moves (gang relocations into free capacity and pairwise
 //     destination swaps, after Avin et al., "Simple Destination-Swap
 //     Strategies for Adaptive Intra- and Inter-Tenant VM Migration").
@@ -191,19 +191,21 @@ func (w Workload) schedule() []arrival {
 	return out
 }
 
+const (
+	// maxSwapsPerEvent bounds the corrective moves proposed per arrival
+	// or departure under PolicySwap.
+	maxSwapsPerEvent = 2
+	// placeDeadline bounds a job's queue wait: a job still unplaced after
+	// this long is rejected and counted as a deadline miss.
+	placeDeadline = 60 * sim.Second
+)
+
 // Options configures one churn run.
 type Options struct {
 	// Workload is the seeded arrival process.
 	Workload Workload
 	// Policy selects greedy or destination-swap placement.
 	Policy Policy
-	// MaxSwapsPerEvent bounds the corrective moves proposed per arrival
-	// or departure under PolicySwap (default 2; ignored for greedy).
-	MaxSwapsPerEvent int
-	// PlaceDeadline bounds a job's queue wait: a job still unplaced
-	// after this long is rejected and counted as a deadline miss
-	// (default 60 s).
-	PlaceDeadline sim.Time
 	// Model prices swap and fault migrations (zero value → fleet
 	// defaults). Set Model.Cold to stream re-placements through the
 	// topology's NFS link.
@@ -220,12 +222,6 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.Workload = o.Workload.withDefaults()
-	if o.MaxSwapsPerEvent <= 0 {
-		o.MaxSwapsPerEvent = 2
-	}
-	if o.PlaceDeadline <= 0 {
-		o.PlaceDeadline = 60 * sim.Second
-	}
 	if o.Seq == (fleet.SeqPolicy{}) {
 		o.Seq = fleet.SeqPolicy{Batched: true}
 	}
@@ -236,14 +232,6 @@ func (o Options) withDefaults() Options {
 func (o Options) Validate() error {
 	if err := o.Workload.Validate(); err != nil {
 		return err
-	}
-	if o.MaxSwapsPerEvent < 0 {
-		return &OptionsError{Field: "Options.MaxSwapsPerEvent", Value: float64(o.MaxSwapsPerEvent),
-			Reason: "swap budget must not be negative (0 selects the default)"}
-	}
-	if o.PlaceDeadline < 0 {
-		return &OptionsError{Field: "Options.PlaceDeadline", Value: o.PlaceDeadline.Seconds(),
-			Reason: "placement deadline must not be negative (0 selects the default)"}
 	}
 	if err := o.Seq.Validate(); err != nil {
 		return err

@@ -252,8 +252,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Workload: Workload{ArrivalRate: -0.5}},
 		{Workload: Workload{IBFraction: 1.5}},
 		{Workload: Workload{MinLifetime: 10 * sim.Second, MaxLifetime: 5 * sim.Second}},
-		{MaxSwapsPerEvent: -1},
-		{PlaceDeadline: -sim.Second},
 	}
 	for i, o := range bad {
 		err := o.Validate()

@@ -275,7 +275,7 @@ func (e *Engine) enqueue(j *job) {
 	j.state = stateQueued
 	e.queue = append(e.queue, j)
 	jj := j
-	j.deadline = e.k.Schedule(e.opts.PlaceDeadline, e.handle(func() { e.onDeadline(jj) }))
+	j.deadline = e.k.Schedule(placeDeadline, e.handle(func() { e.onDeadline(jj) }))
 }
 
 // onDeadline rejects a job that waited out its placement deadline. A
@@ -292,7 +292,7 @@ func (e *Engine) onDeadline(j *job) {
 		e.rep.Placed--
 	}
 	e.rep.Rejected++
-	e.logf("churn: %v job %s rejected after %v in queue", e.k.Now(), j.name, e.opts.PlaceDeadline)
+	e.logf("churn: %v job %s rejected after %v in queue", e.k.Now(), j.name, placeDeadline)
 	e.checkDone()
 }
 
@@ -499,7 +499,7 @@ func (e *Engine) reinstate(n int) {
 	e.used[n] = occ + e.reserved[n]
 }
 
-// maybeSwap proposes up to MaxSwapsPerEvent affinity-improving move
+// maybeSwap proposes up to maxSwapsPerEvent affinity-improving move
 // groups and queues them as one priced mini-plan. Only one mini-plan is
 // on the wire at a time; further proposals are deferred until it lands
 // so they are always computed against fresh state. Relocation
@@ -536,7 +536,7 @@ func (e *Engine) maybeSwap() {
 // gang relocations into free capacity first, then pairwise destination
 // exchanges between equal-shape gangs. Earlier proposals update the
 // shadow so later ones see their effect. One group counts one move
-// against the MaxSwapsPerEvent budget.
+// against the maxSwapsPerEvent budget.
 func (e *Engine) proposeGroups() []*moveGroup {
 	shadow := e.shadow
 	copy(shadow, e.used)
@@ -549,7 +549,7 @@ func (e *Engine) proposeGroups() []*moveGroup {
 	var groups []*moveGroup
 	// Relocations: best free slots strictly better than the current ones.
 	for x, j := range e.running {
-		if len(groups) >= e.opts.MaxSwapsPerEvent {
+		if len(groups) >= maxSwapsPerEvent {
 			return groups
 		}
 		if j.vms > free {
@@ -582,7 +582,7 @@ func (e *Engine) proposeGroups() []*moveGroup {
 	}
 	e.gain = gain
 	for x, a := range e.running {
-		if len(groups) >= e.opts.MaxSwapsPerEvent {
+		if len(groups) >= maxSwapsPerEvent {
 			return groups
 		}
 		for y := x + 1; y < len(e.running); y++ {

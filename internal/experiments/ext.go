@@ -34,10 +34,9 @@ type WideDeployment struct {
 // whose sites share a WAN circuit of wanBandwidth bytes/sec.
 func DeployWideArea(nVMs, ranksPerVM int, wanBandwidth float64, nfsBandwidth float64) (*WideDeployment, error) {
 	k := sim.NewKernel()
+	site := hw.SiteConfig{Nodes: 8, Spec: hw.AGCNodeSpec}
 	w := hw.NewWideArea(k, hw.WideAreaConfig{
-		DataCenters:  2,
-		NodesPerDC:   8,
-		Spec:         hw.AGCNodeSpec,
+		Sites:        []hw.SiteConfig{site, site},
 		WANBandwidth: wanBandwidth,
 		WANLatency:   10 * sim.Millisecond,
 	})

@@ -201,7 +201,9 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 	row.DegradedVMs = rep.DegradedToTCP
 	row.FaultsFired = inj.Fired()
 	row.Total = rep.Total
-	row.events, row.stats = rep.Events, d.K.Stats()
+	// The fresh orchestrator's whole log, not rep.Events: that starts at
+	// the run's mark, after a fault fired at the trigger instant.
+	row.events, row.stats = orch.Events().Events(), d.K.Stats()
 	if migErr != nil && rep.Outcome != ninja.OutcomeRolledBack {
 		return row, fmt.Errorf("experiments: %s: unexpected error: %w", sc.Name, migErr)
 	}

@@ -35,25 +35,17 @@ type WideArea struct {
 	Trunks []*fabric.Trunk
 }
 
-// SiteConfig shapes one data center of a heterogeneous wide-area
-// deployment: its node count and hardware spec (IB only when the spec's
-// IBBandwidth > 0), and optionally its own WAN circuit capacity.
+// SiteConfig shapes one data center of a wide-area deployment: its node
+// count and hardware spec (IB only when the spec's IBBandwidth > 0).
 type SiteConfig struct {
 	Nodes int
 	Spec  NodeSpec
-	// WANBandwidth overrides the deployment-wide circuit capacity for
-	// this site when > 0.
-	WANBandwidth float64
 }
 
 // WideAreaConfig shapes a wide-area deployment.
 type WideAreaConfig struct {
-	DataCenters int
-	NodesPerDC  int
-	Spec        NodeSpec
-	// Sites, when non-empty, gives each data center its own shape —
-	// heterogeneous fleets mix IB-equipped and Ethernet-only sites. It
-	// overrides DataCenters/NodesPerDC/Spec.
+	// Sites gives each data center its own shape, in DC order —
+	// heterogeneous fleets mix IB-equipped and Ethernet-only sites.
 	Sites []SiteConfig
 	// WANBandwidth is each site's circuit capacity (bytes/sec, per
 	// direction) and WANLatency its one-way latency.
@@ -61,26 +53,13 @@ type WideAreaConfig struct {
 	WANLatency   sim.Time
 }
 
-// sites normalizes the homogeneous and per-site forms of the config.
-func (cfg WideAreaConfig) sites() []SiteConfig {
-	if len(cfg.Sites) > 0 {
-		return cfg.Sites
-	}
-	out := make([]SiteConfig, cfg.DataCenters)
-	for i := range out {
-		out[i] = SiteConfig{Nodes: cfg.NodesPerDC, Spec: cfg.Spec}
-	}
-	return out
-}
-
 // NewWideArea builds the multi-site testbed. Nodes follow each site's
 // spec; sites get InfiniBand only when their spec's IBBandwidth > 0.
 func NewWideArea(k *sim.Kernel, cfg WideAreaConfig) *WideArea {
-	sites := cfg.sites()
-	if len(sites) < 1 {
+	if len(cfg.Sites) < 1 {
 		panic("hw: wide-area deployment with no sites")
 	}
-	for i, s := range sites {
+	for i, s := range cfg.Sites {
 		if s.Nodes < 1 {
 			panic(fmt.Sprintf("hw: wide-area site %d with %d nodes", i, s.Nodes))
 		}
@@ -89,17 +68,13 @@ func NewWideArea(k *sim.Kernel, cfg WideAreaConfig) *WideArea {
 	core := n.NewSwitch("wan-core", fabric.Ethernet)
 	w := &WideArea{K: k, Network: n, Core: core}
 	w.Segment = fabric.NewEthSegment(core)
-	for d, site := range sites {
+	for d, site := range cfg.Sites {
 		name := fmt.Sprintf("dc%d", d)
 		dc := &DataCenter{
 			Name:      name,
 			EthSwitch: n.NewSwitch(name+"/eth", fabric.Ethernet),
 		}
-		wanBW := cfg.WANBandwidth
-		if site.WANBandwidth > 0 {
-			wanBW = site.WANBandwidth
-		}
-		w.Trunks = append(w.Trunks, n.Connect(dc.EthSwitch, core, wanBW, cfg.WANLatency))
+		w.Trunks = append(w.Trunks, n.Connect(dc.EthSwitch, core, cfg.WANBandwidth, cfg.WANLatency))
 		if site.Spec.IBBandwidth > 0 {
 			dc.IBSwitch = n.NewSwitch(name+"/ib", fabric.InfiniBand)
 			dc.Subnet = fabric.NewIBSubnet(dc.IBSwitch)

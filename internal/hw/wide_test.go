@@ -10,10 +10,12 @@ import (
 func newWide(t *testing.T, dcs int) *WideArea {
 	t.Helper()
 	k := sim.NewKernel()
+	sites := make([]SiteConfig, dcs)
+	for i := range sites {
+		sites[i] = SiteConfig{Nodes: 4, Spec: AGCNodeSpec}
+	}
 	return NewWideArea(k, WideAreaConfig{
-		DataCenters:  dcs,
-		NodesPerDC:   4,
-		Spec:         AGCNodeSpec,
+		Sites:        sites,
 		WANBandwidth: 1.25e9, // a 10 Gbit/s circuit
 		WANLatency:   10 * sim.Millisecond,
 	})

@@ -69,7 +69,7 @@ func (r *Rank) Reduce(p *sim.Proc, root int, bytes float64) error {
 					return fmt.Errorf("mpi: reduce recv: %w", err)
 				}
 				// Combine the incoming buffer with the local one.
-				r.Compute(p, bytes/r.job.cfg.ReduceBandwidth)
+				r.Compute(p, bytes/reduceBandwidth)
 			}
 		} else {
 			parent := (vr - mask + root) % n

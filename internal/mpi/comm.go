@@ -173,7 +173,7 @@ func (c *Comm) Reduce(p *sim.Proc, r *Rank, root int, bytes float64) error {
 				if _, err := r.Recv(p, child, tag); err != nil {
 					return fmt.Errorf("mpi: comm reduce recv: %w", err)
 				}
-				r.Compute(p, bytes/c.job.cfg.ReduceBandwidth)
+				r.Compute(p, bytes/reduceBandwidth)
 			}
 		} else {
 			parent := c.ranks[(vr-mask+root)%n].id

@@ -21,20 +21,23 @@ type Config struct {
 	VMs []*vmm.VM
 	// RanksPerVM is the number of MPI processes per VM (≥1).
 	RanksPerVM int
-	// EagerLimit is the eager/rendezvous protocol switchover in bytes
-	// (Open MPI openib default ≈12 KB; we use one limit for all BTLs).
-	EagerLimit float64
-	// OOBLatency is the out-of-band (TCP management channel) latency.
-	OOBLatency sim.Time
-	// ReduceBandwidth is reduction-operator compute throughput
-	// (bytes per core-second).
-	ReduceBandwidth float64
 	// ContinueLikeRestart mirrors ompi_cr_continue_like_restart: forcibly
 	// reconstruct BTL modules on the continue path even when only TCP was
 	// in use before the checkpoint — required for recovery migration to
 	// re-discover InfiniBand (§III-C).
 	ContinueLikeRestart bool
 }
+
+const (
+	// eagerLimit is the eager/rendezvous protocol switchover in bytes
+	// (Open MPI openib default ≈12 KB; we use one limit for all BTLs).
+	eagerLimit = 64 << 10
+	// oobLatency is the out-of-band (TCP management channel) latency.
+	oobLatency = 100 * sim.Microsecond
+	// reduceBandwidth is reduction-operator compute throughput (bytes per
+	// core-second).
+	reduceBandwidth = 2e9
+)
 
 // Errors returned by the runtime.
 var (
@@ -72,15 +75,6 @@ type Job struct {
 func NewJob(k *sim.Kernel, cfg Config) (*Job, error) {
 	if len(cfg.VMs) == 0 || cfg.RanksPerVM < 1 {
 		return nil, fmt.Errorf("mpi: bad job shape: %d VMs × %d ranks", len(cfg.VMs), cfg.RanksPerVM)
-	}
-	if cfg.EagerLimit <= 0 {
-		cfg.EagerLimit = 64 << 10
-	}
-	if cfg.OOBLatency <= 0 {
-		cfg.OOBLatency = 100 * sim.Microsecond
-	}
-	if cfg.ReduceBandwidth <= 0 {
-		cfg.ReduceBandwidth = 2e9
 	}
 	j := &Job{k: k, cfg: cfg}
 	j.bar.cond = sim.NewCond(k)
@@ -166,7 +160,7 @@ type barrierState struct {
 // is one OOB latency per participant — the coordination overhead the
 // paper measures as negligible).
 func (j *Job) Barrier(p *sim.Proc) {
-	p.Sleep(j.cfg.OOBLatency)
+	p.Sleep(oobLatency)
 	gen := j.bar.gen
 	j.bar.count++
 	if j.bar.count == len(j.ranks) {

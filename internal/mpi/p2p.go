@@ -59,7 +59,7 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, bytes float64) error {
 	if err != nil {
 		return err
 	}
-	if bytes <= r.job.cfg.EagerLimit {
+	if bytes <= eagerLimit {
 		if err := mod.Transfer(p, peer, bytes); err != nil {
 			return err
 		}

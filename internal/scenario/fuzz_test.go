@@ -14,7 +14,7 @@ import (
 // "kind" keys cannot make the kind check and the body decode disagree);
 // and an accepted spec re-marshals to a body that is accepted again and
 // maps onto the same experiment — equal fleet or churn scenarios, or an
-// equal sweep matrix. The seed corpus (testdata/fuzz/FuzzDecode) holds
+// equal sweep matrix and directive Specs. The seed corpus (testdata/fuzz/FuzzDecode) holds
 // every directive the ninjad server tests send, the churn and evacuate
 // shapes the benchmark's daemon workload posts, a few more sweep and
 // evacuate shapes, and past failures.
@@ -72,8 +72,8 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("%q and its re-marshalled form %s map onto different churn scenarios", body, again)
 			}
 		case spec.Sweep != nil:
-			m1, err1 := spec.Sweep.matrix()
-			m2, err2 := spec2.Sweep.matrix()
+			m1, err1 := sweepShape(spec.Sweep)
+			m2, err2 := sweepShape(spec2.Sweep)
 			if err1 != nil || err2 != nil || !reflect.DeepEqual(m1, m2) {
 				t.Fatalf("%q and its re-marshalled form %s build different sweeps (errors %v, %v)", body, again, err1, err2)
 			}
@@ -81,4 +81,19 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted %q with no body", body)
 		}
 	})
+}
+
+// sweepShape is what a sweep body builds, less the directives' run
+// functions, which reflect cannot compare: the named directive Specs the
+// runs map, and the farm matrix with each directive's name and victim
+// lists.
+func sweepShape(w *Sweep) (any, error) {
+	m, err := w.matrix()
+	if err != nil {
+		return nil, err
+	}
+	for i := range m.Directives {
+		m.Directives[i].Run = nil
+	}
+	return []any{matrices[w.Matrix](w.Jobs).directives, m}, nil
 }

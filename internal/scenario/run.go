@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/churn"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/simfarm"
@@ -149,6 +150,93 @@ func runChurn(c *Churn, emit func(metrics.Event)) (json.RawMessage, error) {
 		return nil, err
 	}
 	return json.RawMessage(res.Report.JSON()), nil
+}
+
+// directive makes a fleet or churn Spec one entry of a sweep's directive
+// axis: a cell runs the Spec through the same mapping as Run, with the
+// cell's fault plan armed over it. Fleet fault times are relative to the
+// directive trigger. A churn cell's seed is its workload seed, so the
+// replication axis sweeps workloads, not just fault draws; its fault
+// times are absolute (a churn run has no trigger instant), and it has no
+// VMs, so a VictimVM spec fails the cell.
+func (s Spec) directive(name string) simfarm.Directive {
+	if s.Churn != nil {
+		cfg, sc := s.Churn.scenario()
+		return simfarm.Directive{
+			Name:     name,
+			DstNodes: experiments.ChurnVictims(cfg),
+			Run: func(seed int64, plan *faults.Plan) (simfarm.RunResult, error) {
+				return churnCell(cfg, sc, seed, plan)
+			},
+		}
+	}
+	cfg, sc := s.Fleet.scenario(s.Kind)
+	vms, dstNodes := experiments.FleetVictims(cfg)
+	return simfarm.Directive{
+		Name:     name,
+		VMs:      vms,
+		DstNodes: dstNodes,
+		Run: func(_ int64, plan *faults.Plan) (simfarm.RunResult, error) {
+			return fleetCell(cfg, sc, plan)
+		},
+	}
+}
+
+// fleetCell runs one sweep cell on a fresh fleet deployment.
+func fleetCell(cfg experiments.FleetConfig, sc experiments.FleetScenario, plan *faults.Plan) (simfarm.RunResult, error) {
+	sc.ExtraFaults = plan
+	res, err := experiments.RunFleetScenario(cfg, sc)
+	if err != nil {
+		return simfarm.RunResult{}, err
+	}
+	out := simfarm.RunResult{
+		MakespanS:    res.Row.Makespan.Seconds(),
+		DowntimeS:    res.Row.Downtime.Seconds(),
+		DeadlineMet:  res.Row.Deadline,
+		Replans:      res.Row.Replans,
+		Requeues:     res.Row.Requeues,
+		FinishedSimS: res.Report.Finished.Seconds(),
+		Outcomes:     map[string]int{},
+	}
+	for _, jo := range res.Report.Jobs {
+		label := string(jo.Outcome)
+		if label == "" {
+			label = "unknown"
+		}
+		out.Outcomes[label]++
+	}
+	return out, nil
+}
+
+// churnCell runs one sweep cell of the churn workload seeded by seed. The
+// makespan and downtime columns carry the run's span and total placement
+// wait; replans and requeues its swap and fault migrations.
+func churnCell(cfg experiments.ChurnConfig, sc experiments.ChurnScenario, seed int64, plan *faults.Plan) (simfarm.RunResult, error) {
+	cfg.Workload.Seed = seed
+	if plan != nil {
+		sc.Faults = plan
+	}
+	res, err := experiments.RunChurnScenario(cfg, sc)
+	if err != nil {
+		return simfarm.RunResult{}, err
+	}
+	rep := res.Report
+	out := simfarm.RunResult{
+		MakespanS:    rep.Duration.Seconds(),
+		DowntimeS:    rep.WaitTotal.Seconds(),
+		DeadlineMet:  rep.Rejected == 0,
+		Replans:      rep.SwapMigs,
+		Requeues:     rep.FaultMigs,
+		FinishedSimS: rep.Duration.Seconds(),
+		Outcomes:     map[string]int{},
+	}
+	if rep.Departed > 0 {
+		out.Outcomes["departed"] = rep.Departed
+	}
+	if rep.Rejected > 0 {
+		out.Outcomes["rejected"] = rep.Rejected
+	}
+	return out, nil
 }
 
 func runSweep(ctx context.Context, w *Sweep, emit func(metrics.Event)) (json.RawMessage, error) {

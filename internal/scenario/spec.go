@@ -13,8 +13,10 @@ import (
 	"fmt"
 
 	"repro/internal/churn"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/ninja"
+	"repro/internal/sim"
 	"repro/internal/simfarm"
 )
 
@@ -156,7 +158,7 @@ var (
 	placements = map[string]fleet.PlacementPolicy{"": fleet.PlaceGreedy, "greedy": fleet.PlaceGreedy, "swap": fleet.PlaceSwap}
 	policies   = map[string]churn.Policy{"": churn.PolicyGreedy, "greedy": churn.PolicyGreedy, "swap": churn.PolicySwap}
 	modes      = map[string]ninja.Mode{"": ninja.Live, "live": ninja.Live, "rdma": ninja.RDMANative, "cold": ninja.Cold}
-	matrices   = map[string]func(jobs, seeds int) simfarm.Matrix{"": simfarm.DefaultMatrix, "default": simfarm.DefaultMatrix, "churn": simfarm.ChurnMatrix}
+	matrices   = map[string]func(jobs int) sweep{"": defaultSweep, "default": defaultSweep, "churn": churnSweep}
 )
 
 func (f *Fleet) validate(kind string) error {
@@ -204,7 +206,109 @@ func (w *Sweep) matrix() (simfarm.Matrix, error) {
 	if !ok {
 		return simfarm.Matrix{}, fmt.Errorf("unknown matrix %q (want default or churn)", w.Matrix)
 	}
-	m := build(w.Jobs, w.Seeds)
+	m := build(w.Jobs).matrix(w.Seeds)
 	m.Seeds.Base = w.SeedBase
 	return m.SelectPlans(w.FaultPlans...)
+}
+
+// sweep is a built-in matrix before it meets the farm: named directive
+// Specs crossed with fault plans.
+type sweep struct {
+	directives []namedSpec
+	plans      []simfarm.FaultPlan
+}
+
+// namedSpec is one entry of a sweep's directive axis.
+type namedSpec struct {
+	name string
+	spec Spec
+}
+
+// matrix builds the farm matrix with seeds seeds per row (0 = the
+// simfarm.SeedRange default of 16).
+func (w sweep) matrix(seeds int) simfarm.Matrix {
+	m := simfarm.Matrix{Plans: w.plans, Seeds: simfarm.SeedRange{Count: seeds}}
+	for _, d := range w.directives {
+		m.Directives = append(m.Directives, d.spec.directive(d.name))
+	}
+	return m
+}
+
+// DefaultMatrix is the ext-sweep matrix: four directive/policy shapes
+// (sequential greedy evacuation, batched swap-refined evacuation, a
+// capped rolling-maintenance drain, and a batched swap-refined
+// evacuation in RDMA-native mode — QP replay instead of hotplug for the
+// IB-capable half of the fleet) crossed with three fault plans (fault
+// free, a jittered crash of a seeded destination node, and a precopy
+// socket drop against a seeded victim VM). jobs sizes each cell's fleet
+// (0 = 4 jobs — smaller than the ext-fleet default 8, because a sweep
+// multiplies every cell cost by |matrix|); seeds is the per-row
+// replication count (0 = 16).
+func DefaultMatrix(jobs, seeds int) simfarm.Matrix { return defaultSweep(jobs).matrix(seeds) }
+
+// ChurnMatrix is the churn sweep matrix: both online placement policies
+// (greedy first-fit and adaptive destination-swap) crossed with a
+// fault-free plan and a jittered crash of a seeded destination node.
+// Where DefaultMatrix replays one evacuation trajectory per cell, this
+// matrix replays the continuous arrival/departure workload — each seed
+// is a different workload, not just a different fault draw. jobs sizes
+// each cell's arrival count (0 = 32, half the ninjabench ext-churn
+// default, because a sweep multiplies every cell cost by |matrix|);
+// seeds is the per-row replication count (0 = 16).
+func ChurnMatrix(jobs, seeds int) simfarm.Matrix { return churnSweep(jobs).matrix(seeds) }
+
+func defaultSweep(jobs int) sweep {
+	if jobs == 0 {
+		jobs = 4
+	}
+	return sweep{
+		directives: []namedSpec{
+			{"evac-greedy", Spec{Kind: KindEvacuate, Fleet: &Fleet{Jobs: jobs}}},
+			{"evac-swap-batched", Spec{Kind: KindEvacuate, Fleet: &Fleet{Placement: "swap", Batched: true, Cap: 4, Jobs: jobs}}},
+			{"rolling-cap2", Spec{Kind: KindRolling, Fleet: &Fleet{Placement: "swap", MaxInFlight: 2, Jobs: jobs}}},
+			{"evac-swap-rdma", Spec{Kind: KindEvacuate, Fleet: &Fleet{Placement: "swap", Batched: true, Cap: 4, Mode: "rdma", Jobs: jobs}}},
+		},
+		plans: []simfarm.FaultPlan{
+			{Name: "none"},
+			{
+				Name: "dst-crash",
+				Specs: []simfarm.FaultSpec{{
+					Spec:     faults.Spec{Kind: faults.KindNodeCrash, At: 2 * sim.Second, For: 120 * sim.Second},
+					AtJitter: 20 * sim.Second,
+					Victim:   simfarm.VictimDstNode,
+				}},
+			},
+			{
+				Name: "migrate-abort",
+				Specs: []simfarm.FaultSpec{{
+					Spec:   faults.Spec{Kind: faults.KindMigrateAbort, Pass: 1, Count: 1},
+					Victim: simfarm.VictimVM,
+				}},
+			},
+		},
+	}
+}
+
+func churnSweep(jobs int) sweep {
+	if jobs == 0 {
+		jobs = 32
+	}
+	return sweep{
+		directives: []namedSpec{
+			{"churn-greedy", Spec{Kind: KindChurn, Churn: &Churn{Placement: "greedy", Jobs: jobs}}},
+			// Avin et al.'s destination-swap policy (arXiv:1309.5826).
+			{"churn-swap", Spec{Kind: KindChurn, Churn: &Churn{Placement: "swap", Jobs: jobs}}},
+		},
+		plans: []simfarm.FaultPlan{
+			{Name: "none"},
+			{
+				Name: "node-crash",
+				Specs: []simfarm.FaultSpec{{
+					Spec:     faults.Spec{Kind: faults.KindNodeCrash, At: 60 * sim.Second, For: 180 * sim.Second},
+					AtJitter: 120 * sim.Second,
+					Victim:   simfarm.VictimDstNode,
+				}},
+			},
+		},
+	}
 }

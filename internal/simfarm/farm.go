@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -20,11 +20,6 @@ type Options struct {
 	// values are rejected by Validate/New with an *OptionsError. The
 	// Summary does not depend on this knob.
 	Parallelism int
-	// Runner overrides per-cell execution (nil = the fleet runner that
-	// deploys a fresh three-site testbed per cell). Tests use it to
-	// script failing or panicking cells; a Runner must be safe for
-	// concurrent calls from Parallelism goroutines.
-	Runner func(Cell) (*experiments.FleetResult, error)
 }
 
 // Validate rejects option values that are always caller bugs.
@@ -122,7 +117,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 						Skipped:   true,
 					}
 				} else {
-					results[i] = f.runCell(cells[i])
+					results[i] = runCell(cells[i])
 				}
 				close(done[i])
 			}
@@ -166,106 +161,35 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 }
 
 // runCell executes one cell under the panic guard: a panicking run —
-// whether it escapes the fleet executor, the kernel, or a custom Runner —
-// is recorded as that cell's failure instead of killing the sweep. (Sim
-// proc panics re-panic out of Kernel.Run on this worker's goroutine, so
-// the guard catches those too.)
-func (f *Farm) runCell(cell Cell) (out RunResult) {
-	out = RunResult{
-		Cell:      cell.Label(),
-		Directive: cell.Directive.Name,
-		Plan:      cell.Plan.Name,
-		Seed:      cell.Seed,
-	}
+// whether it escapes the directive's executor or the kernel — is
+// recorded as that cell's failure instead of killing the sweep. (Sim proc
+// panics re-panic out of Kernel.Run on this worker's goroutine, so the
+// guard catches those too.) The fault plan materializes with the cell's
+// own seeded PRNG: victims and jitter are drawn from it, nothing global.
+func runCell(cell Cell) (out RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			out.Err = fmt.Sprintf("panic: %v", r)
 		}
+		// Every outcome, failed or not, carries the cell's identity.
+		out.Cell = cell.Label()
+		out.Directive = cell.Directive.Name
+		out.Plan = cell.Plan.Name
+		out.Seed = cell.Seed
 	}()
-	run := f.opts.Runner
-	if run == nil {
-		if cell.Directive.Churn != nil {
-			return runChurnCell(cell, out)
-		}
-		run = runFleetCell
-	}
-	res, err := run(cell)
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	out.MakespanS = res.Row.Makespan.Seconds()
-	out.DowntimeS = res.Row.Downtime.Seconds()
-	out.DeadlineMet = res.Row.Deadline
-	out.Replans = res.Row.Replans
-	out.Requeues = res.Row.Requeues
-	out.FinishedSimS = res.Report.Finished.Seconds()
-	out.Outcomes = map[string]int{}
-	for _, jo := range res.Report.Jobs {
-		label := string(jo.Outcome)
-		if label == "" {
-			label = "unknown"
-		}
-		out.Outcomes[label]++
-	}
-	return out
-}
-
-// runChurnCell executes one churn-directive cell: the cell seed becomes
-// the workload seed (so the replication axis sweeps workloads, not just
-// fault draws), and the cell's fault plan materializes against the churn
-// deployment's node names — churn cells have no VMs, so a VictimVM spec
-// fails the cell loudly rather than silently picking nothing.
-func runChurnCell(cell Cell, out RunResult) RunResult {
-	cd := cell.Directive.Churn
-	cfg := cd.Cfg
-	cfg.Workload.Seed = cell.Seed
-	sc := cd.Sc
+	d := cell.Directive
+	var plan *faults.Plan
 	if len(cell.Plan.Specs) > 0 {
 		rng := rand.New(rand.NewSource(cell.Seed))
-		plan, err := cell.Plan.materialize(cell.Seed, rng, nil, experiments.ChurnVictims(cfg))
+		p, err := cell.Plan.materialize(cell.Seed, rng, d.VMs, d.DstNodes)
 		if err != nil {
-			out.Err = err.Error()
-			return out
+			return RunResult{Err: err.Error()}
 		}
-		sc.Faults = &plan
+		plan = &p
 	}
-	res, err := experiments.RunChurnScenario(cfg, sc)
+	out, err := d.Run(cell.Seed, plan)
 	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	rep := res.Report
-	out.MakespanS = rep.Duration.Seconds()
-	out.DowntimeS = rep.WaitTotal.Seconds()
-	out.DeadlineMet = rep.Rejected == 0
-	out.Replans = rep.SwapMigs
-	out.Requeues = rep.FaultMigs
-	out.FinishedSimS = rep.Duration.Seconds()
-	out.Outcomes = map[string]int{}
-	if rep.Departed > 0 {
-		out.Outcomes["departed"] = rep.Departed
-	}
-	if rep.Rejected > 0 {
-		out.Outcomes["rejected"] = rep.Rejected
+		return RunResult{Err: err.Error()}
 	}
 	return out
-}
-
-// runFleetCell is the default cell runner: materialize the cell's fault
-// plan with the cell's own seeded PRNG (victims and jitter are drawn from
-// it; nothing global), inject it into a copy of the scenario, and run a
-// fresh fleet deployment.
-func runFleetCell(cell Cell) (*experiments.FleetResult, error) {
-	sc := cell.Directive.Sc
-	if len(cell.Plan.Specs) > 0 {
-		rng := rand.New(rand.NewSource(cell.Seed))
-		vms, dstNodes := experiments.FleetVictims(cell.Directive.Cfg)
-		plan, err := cell.Plan.materialize(cell.Seed, rng, vms, dstNodes)
-		if err != nil {
-			return nil, err
-		}
-		sc.ExtraFaults = &plan
-	}
-	return experiments.RunFleetScenario(cell.Directive.Cfg, sc)
 }

@@ -1,9 +1,11 @@
 // Package simfarm is the sharded Monte Carlo sweep farm: it fans a
 // directive × fault-plan × seed matrix out over a bounded pool of worker
-// goroutines — each cell running an independent sim kernel + fleet
-// executor — and aggregates the per-run fleet.Reports into percentile
+// goroutines — each cell running its directive on an independent
+// simulation — and aggregates the per-run measurements into percentile
 // distributions (p50/p90/p99/max makespan and downtime, deadline-miss
-// rate, outcome tallies) per matrix row.
+// rate, outcome tallies) per matrix row. The farm knows nothing of what
+// a directive runs: the built-in matrices live in internal/scenario,
+// whose directives are scenario Specs.
 //
 // The farm turns the one-at-a-time spot checks of `ninjabench
 // -run=ext-fleet` into statistical acceptance surfaces: thousands of
@@ -24,11 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/churn"
-	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/fleet"
-	"repro/internal/ninja"
 	"repro/internal/sim"
 )
 
@@ -48,39 +46,19 @@ func (e *OptionsError) Error() string {
 	return fmt.Sprintf("simfarm: invalid %s %d: %s", e.Field, e.Value, e.Reason)
 }
 
-// Directive is one entry of the matrix's policy axis: a named fleet
-// scenario plus the config it deploys under.
+// Directive is one entry of the matrix's policy axis: a named run plus
+// the names its fault plans draw victims from.
 type Directive struct {
 	// Name labels the directive in summaries and progress events.
 	Name string
-	// Cfg shapes the per-cell fleet deployment (zero fields default as in
-	// experiments.FleetConfig).
-	Cfg experiments.FleetConfig
-	// Sc is the directive/policy cell template. Its ExtraFaults field is
-	// owned by the farm — the materialized per-cell fault plan is injected
-	// there — and must be left nil.
-	Sc experiments.FleetScenario
-	// Churn, when non-nil, switches this directive from a one-shot fleet
-	// evacuation to a continuous churn run; Cfg and Sc above are ignored.
-	Churn *ChurnDirective
-}
-
-// ChurnDirective is the churn variant of a directive: instead of
-// evacuating a fixed batch of jobs, each cell runs the online arrival/
-// departure workload of internal/churn under one placement policy. The
-// cell seed replaces Cfg.Workload.Seed (the farm's replication axis IS
-// the workload seed), and the farm's fault axis materializes into
-// Sc.Faults — which must therefore be left nil. Unlike fleet cells,
-// whose fault times are relative to the directive trigger, churn fault
-// times are absolute simulation times: a churn run has no trigger
-// instant, its clock starts at the first arrival's epoch.
-type ChurnDirective struct {
-	// Cfg shapes the two-site churn deployment (zero fields default as in
-	// experiments.ChurnConfig).
-	Cfg experiments.ChurnConfig
-	// Sc selects the placement policy and pricing switches. Faults must
-	// be nil; use the matrix's fault axis.
-	Sc experiments.ChurnScenario
+	// VMs and DstNodes are the victim lists VictimVM and VictimDstNode
+	// specs draw from, in the deployment's deterministic order.
+	VMs, DstNodes []string
+	// Run executes one cell on a fresh simulation: seed is the cell seed
+	// and plan the materialized fault plan (nil for a plan without
+	// specs). It fills RunResult's measurements; the farm fills the
+	// cell's identity. Run must be safe for concurrent calls.
+	Run func(seed int64, plan *faults.Plan) (RunResult, error)
 }
 
 // VictimKind selects how a FaultSpec resolves its target per cell.
@@ -214,20 +192,6 @@ func (m Matrix) Validate() error {
 			Reason: "seed base must not be negative (0 selects the default of 1)",
 		}
 	}
-	for _, d := range m.Directives {
-		if d.Sc.ExtraFaults != nil {
-			return &OptionsError{
-				Field: "Matrix.Directives", Value: 0,
-				Reason: fmt.Sprintf("directive %q sets Sc.ExtraFaults, which is owned by the farm's fault axis", d.Name),
-			}
-		}
-		if d.Churn != nil && d.Churn.Sc.Faults != nil {
-			return &OptionsError{
-				Field: "Matrix.Directives", Value: 0,
-				Reason: fmt.Sprintf("directive %q sets Churn.Sc.Faults, which is owned by the farm's fault axis", d.Name),
-			}
-		}
-	}
 	return nil
 }
 
@@ -320,119 +284,4 @@ func (m Matrix) Cells() []Cell {
 		}
 	}
 	return out
-}
-
-// DefaultMatrix is the ext-sweep matrix: four directive/policy shapes
-// (sequential greedy evacuation, batched swap-refined evacuation, a
-// capped rolling-maintenance drain, and a batched swap-refined
-// evacuation in RDMA-native mode — QP replay instead of hotplug for the
-// IB-capable half of the fleet) crossed with three
-// fault plans (fault free, a jittered crash of a seeded destination
-// node, and a precopy socket drop against a seeded victim VM). jobs
-// sizes each cell's fleet (0 = 4 jobs — smaller than the ext-fleet
-// default 8, because a sweep multiplies every cell cost by |matrix|);
-// seeds is the per-row replication count (0 = the SeedRange default of
-// 16).
-func DefaultMatrix(jobs, seeds int) Matrix {
-	if jobs == 0 {
-		jobs = 4
-	}
-	cfg := experiments.FleetConfig{Jobs: jobs}
-	return Matrix{
-		Directives: []Directive{
-			{
-				Name: "evac-greedy",
-				Cfg:  cfg,
-				Sc:   experiments.FleetScenario{Placement: fleet.PlaceGreedy},
-			},
-			{
-				Name: "evac-swap-batched",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Placement: fleet.PlaceSwap,
-					Seq:       fleet.SeqPolicy{Batched: true, Cap: 4},
-				},
-			},
-			{
-				Name: "rolling-cap2",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Kind:        fleet.RollingMaintenance,
-					Placement:   fleet.PlaceSwap,
-					MaxInFlight: 2,
-				},
-			},
-			{
-				Name: "evac-swap-rdma",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Placement: fleet.PlaceSwap,
-					Seq:       fleet.SeqPolicy{Batched: true, Cap: 4},
-					Mode:      ninja.RDMANative,
-				},
-			},
-		},
-		Plans: []FaultPlan{
-			{Name: "none"},
-			{
-				Name: "dst-crash",
-				Specs: []FaultSpec{{
-					Spec:     faults.Spec{Kind: faults.KindNodeCrash, At: 2 * sim.Second, For: 120 * sim.Second},
-					AtJitter: 20 * sim.Second,
-					Victim:   VictimDstNode,
-				}},
-			},
-			{
-				Name: "migrate-abort",
-				Specs: []FaultSpec{{
-					Spec:   faults.Spec{Kind: faults.KindMigrateAbort, Pass: 1, Count: 1},
-					Victim: VictimVM,
-				}},
-			},
-		},
-		Seeds: SeedRange{Count: seeds},
-	}
-}
-
-// ChurnMatrix is the churn sweep matrix: both online placement policies
-// (greedy first-fit and adaptive destination-swap) crossed with a
-// fault-free plan and a jittered crash of a seeded destination node.
-// Where DefaultMatrix replays one evacuation trajectory per cell, this
-// matrix replays the continuous arrival/departure workload — each seed
-// is a different workload, not just a different fault draw — and the
-// summary's makespan/downtime columns carry the churn run's span and
-// total placement wait. jobs sizes each cell's arrival count (0 = 32,
-// half the ninjabench ext-churn default, because a sweep multiplies
-// every cell cost by |matrix|); seeds is the per-row replication count
-// (0 = the SeedRange default of 16).
-func ChurnMatrix(jobs, seeds int) Matrix {
-	if jobs == 0 {
-		jobs = 32
-	}
-	cfg := experiments.ChurnConfig{}
-	cfg.Workload.Jobs = jobs
-	return Matrix{
-		Directives: []Directive{
-			{
-				Name:  "churn-greedy",
-				Churn: &ChurnDirective{Cfg: cfg, Sc: experiments.ChurnScenario{Policy: churn.PolicyGreedy}},
-			},
-			{
-				Name:  "churn-swap",
-				Churn: &ChurnDirective{Cfg: cfg, Sc: experiments.ChurnScenario{Policy: churn.PolicySwap}},
-			},
-		},
-		Plans: []FaultPlan{
-			{Name: "none"},
-			{
-				Name: "node-crash",
-				Specs: []FaultSpec{{
-					Spec:     faults.Spec{Kind: faults.KindNodeCrash, At: 60 * sim.Second, For: 180 * sim.Second},
-					AtJitter: 120 * sim.Second,
-					Victim:   VictimDstNode,
-				}},
-			},
-		},
-		Seeds: SeedRange{Count: seeds},
-	}
 }

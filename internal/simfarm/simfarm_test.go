@@ -6,52 +6,52 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/ninja"
 	"repro/internal/sim"
 )
 
-var faultsPlanStub = faults.Plan{Name: "stub"}
-
-// fakeResult builds a deterministic synthetic FleetResult from a seed, so
-// pool-scheduling tests don't pay for real deployments.
-func fakeResult(seed int64) *experiments.FleetResult {
-	mk := sim.Time(100+seed*7) * sim.Second
-	return &experiments.FleetResult{
-		Row: experiments.FleetRow{
-			Makespan: mk,
-			Downtime: sim.Time(seed) * sim.Second,
-			Deadline: seed%4 != 0,
-			Replans:  int(seed % 2),
-			Requeues: int(seed % 3),
-		},
-		Report: fleet.Report{
-			Finished: mk + 5*sim.Second,
-			Jobs: []fleet.JobOutcome{
-				{Outcome: ninja.OutcomeClean},
-				{Outcome: ninja.OutcomeRetriedOK},
-			},
-		},
-	}
+// fakeRun is a directive run that derives a deterministic synthetic
+// result from the seed, so pool-scheduling tests don't pay for real
+// deployments.
+func fakeRun(seed int64, _ *faults.Plan) (RunResult, error) {
+	mk := float64(100 + seed*7)
+	return RunResult{
+		MakespanS:    mk,
+		DowntimeS:    float64(seed),
+		DeadlineMet:  seed%4 != 0,
+		Replans:      int(seed % 2),
+		Requeues:     int(seed % 3),
+		FinishedSimS: mk + 5,
+		Outcomes:     map[string]int{"clean": 1, "retried-ok": 1},
+	}, nil
 }
 
-func simpleMatrix(seeds int) Matrix {
+// fake builds a directive named name that runs run.
+func fake(name string, run func(int64, *faults.Plan) (RunResult, error)) Directive {
+	return Directive{Name: name, Run: run}
+}
+
+// p1 is a plan with one fixed-target spec, so its cells see a non-nil
+// materialized plan named "p1".
+var p1 = FaultPlan{Name: "p1", Specs: []FaultSpec{{Spec: faults.Spec{Kind: faults.KindNodeCrash}}}}
+
+func simpleMatrix(seeds int, a, b func(int64, *faults.Plan) (RunResult, error)) Matrix {
 	return Matrix{
-		Directives: []Directive{{Name: "a"}, {Name: "b"}},
-		Plans:      []FaultPlan{{Name: "p0"}, {Name: "p1"}},
+		Directives: []Directive{fake("a", a), fake("b", b)},
+		Plans:      []FaultPlan{{Name: "p0"}, p1},
 		Seeds:      SeedRange{Count: seeds},
 	}
 }
 
-// runAt runs the matrix with the given runner at one parallelism level.
-func runAt(t *testing.T, m Matrix, par int, run func(Cell) (*experiments.FleetResult, error)) *Result {
+// runAt runs the matrix at one parallelism level.
+func runAt(t *testing.T, m Matrix, par int) *Result {
 	t.Helper()
-	f, err := New(m, Options{Parallelism: par, Runner: run})
+	f, err := New(m, Options{Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +66,32 @@ func runAt(t *testing.T, m Matrix, par int, run func(Cell) (*experiments.FleetRe
 // progress trail — are byte-identical at parallelism 1 and 8, including
 // when one cell panics and another errors.
 func TestSummaryByteIdenticalAcrossParallelism(t *testing.T) {
-	m := simpleMatrix(8) // 2×2×8 = 32 cells
-	run := func(c Cell) (*experiments.FleetResult, error) {
-		if c.Directive.Name == "b" && c.Plan.Name == "p1" && c.Seed == 3 {
-			panic("scripted cell panic")
+	// 2×2×8 = 32 cells; each plan shifts the synthetic result.
+	shift := func(plan *faults.Plan) int64 {
+		if plan != nil {
+			return 8
 		}
-		if c.Directive.Name == "a" && c.Seed == 5 {
-			return nil, errors.New("scripted cell error")
-		}
-		return fakeResult(c.Seed + int64(c.Index)), nil
+		return 0
 	}
+	m := simpleMatrix(8,
+		func(seed int64, plan *faults.Plan) (RunResult, error) {
+			if seed == 5 {
+				return RunResult{}, errors.New("scripted cell error")
+			}
+			return fakeRun(seed+shift(plan), plan)
+		},
+		func(seed int64, plan *faults.Plan) (RunResult, error) {
+			if plan != nil && plan.Name == "p1" && seed == 3 {
+				panic("scripted cell panic")
+			}
+			return fakeRun(seed+16+shift(plan), plan)
+		})
 
 	var summaries [][]byte
 	var cellsJSON [][]byte
 	var trails []string
 	for _, par := range []int{1, 8} {
-		f, err := New(m, Options{Parallelism: par, Runner: run})
+		f, err := New(m, Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +131,71 @@ func TestSummaryByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// A directive's run gets the cell's plan materialized from the
+// directive's own victim lists with the cell's seeded PRNG, so a cell
+// draws the same victims and firing times at any parallelism. A plan
+// without specs arrives as nil, and a VictimVM spec over a directive
+// without VMs fails the cell.
+func TestRunGetsMaterializedPlan(t *testing.T) {
+	pick := FaultPlan{Name: "pick", Specs: []FaultSpec{
+		{Spec: faults.Spec{Kind: faults.KindMigrateAbort, At: 10 * sim.Second}, AtJitter: 5 * sim.Second, Victim: VictimVM},
+		{Spec: faults.Spec{Kind: faults.KindNodeCrash}, Victim: VictimDstNode},
+	}}
+	vms, nodes := []string{"v0", "v1", "v2"}, []string{"n0", "n1"}
+	var draws [2]string
+	for i, par := range []int{1, 3} {
+		var mu sync.Mutex
+		seen := map[int64]string{}
+		run := func(seed int64, plan *faults.Plan) (RunResult, error) {
+			if plan == nil {
+				return fakeRun(seed, plan)
+			}
+			if plan.Name != "pick" || plan.Seed != seed || len(plan.Specs) != 2 {
+				t.Errorf("seed %d: plan %+v", seed, plan)
+			}
+			v, n, at := plan.Specs[0].Target, plan.Specs[1].Target, plan.Specs[0].At
+			if !slices.Contains(vms, v) || !slices.Contains(nodes, n) || at < 10*sim.Second || at > 15*sim.Second {
+				t.Errorf("seed %d: victims %s, %s at %v outside the directive's lists or the jitter", seed, v, n, at)
+			}
+			mu.Lock()
+			seen[seed] = fmt.Sprint(v, n, at)
+			mu.Unlock()
+			return fakeRun(seed, plan)
+		}
+		m := Matrix{
+			Directives: []Directive{
+				{Name: "fleet", VMs: vms, DstNodes: nodes, Run: run},
+				{Name: "no-vms", DstNodes: nodes, Run: run},
+			},
+			Plans: []FaultPlan{{Name: "none"}, pick},
+			Seeds: SeedRange{Count: 8},
+		}
+		res := runAt(t, m, par)
+		if res.Summary.Failures != 8 {
+			t.Fatalf("Failures = %d, want the 8 no-vms/pick cells", res.Summary.Failures)
+		}
+		for _, c := range res.Cells {
+			if (c.Err != "") != (c.Directive == "no-vms" && c.Plan == "pick") {
+				t.Fatalf("cell %s: Err %q", c.Cell, c.Err)
+			}
+		}
+		draws[i] = fmt.Sprint(seen)
+	}
+	if draws[0] != draws[1] {
+		t.Fatalf("materialized plans differ between parallelism 1 and 3:\n%s\n%s", draws[0], draws[1])
+	}
+}
+
 // A panicking cell is recorded as that cell's failure — the sweep
 // survives and the record says "panic: ...".
 func TestPanicGuardRecordsCell(t *testing.T) {
-	m := Matrix{Directives: []Directive{{Name: "d"}}, Seeds: SeedRange{Count: 3}}
-	res := runAt(t, m, 2, func(c Cell) (*experiments.FleetResult, error) {
-		if c.Seed == 2 {
-			panic(fmt.Sprintf("boom seed %d", c.Seed))
+	m := Matrix{Directives: []Directive{fake("d", func(seed int64, plan *faults.Plan) (RunResult, error) {
+		if seed == 2 {
+			panic(fmt.Sprintf("boom seed %d", seed))
 		}
-		return fakeResult(c.Seed), nil
-	})
+		return fakeRun(seed, plan)
+	})}, Seeds: SeedRange{Count: 3}}
+	res := runAt(t, m, 2)
 	if res.Summary.Failures != 1 {
 		t.Fatalf("Failures = %d, want 1", res.Summary.Failures)
 	}
@@ -146,13 +211,13 @@ func TestPanicGuardRecordsCell(t *testing.T) {
 // ones, and surfaces context.Canceled alongside the partial result.
 func TestCancellationSkipsRemainingCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := Matrix{Directives: []Directive{{Name: "d"}}, Seeds: SeedRange{Count: 6}}
-	f, err := New(m, Options{Parallelism: 1, Runner: func(c Cell) (*experiments.FleetResult, error) {
-		if c.Seed == 2 { // cancel after committing two cells
+	m := Matrix{Directives: []Directive{fake("d", func(seed int64, plan *faults.Plan) (RunResult, error) {
+		if seed == 2 { // cancel after committing two cells
 			cancel()
 		}
-		return fakeResult(c.Seed), nil
-	}})
+		return fakeRun(seed, plan)
+	})}, Seeds: SeedRange{Count: 6}}
+	f, err := New(m, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +245,8 @@ func TestCancellationSkipsRemainingCells(t *testing.T) {
 // The progress trail is one sweep-cell per committed cell plus one
 // sweep-row per matrix row, in enumeration order.
 func TestProgressEvents(t *testing.T) {
-	m := simpleMatrix(2) // 4 rows × 2 seeds
-	f, err := New(m, Options{Parallelism: 4, Runner: func(c Cell) (*experiments.FleetResult, error) {
-		return fakeResult(c.Seed), nil
-	}})
+	m := simpleMatrix(2, fakeRun, fakeRun) // 4 rows × 2 seeds
+	f, err := New(m, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +280,7 @@ func TestProgressEvents(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	good := Matrix{Directives: []Directive{{Name: "d"}}}
+	good := Matrix{Directives: []Directive{fake("d", fakeRun)}}
 	cases := []struct {
 		name  string
 		m     Matrix
@@ -228,9 +291,6 @@ func TestValidation(t *testing.T) {
 		{"negative seed count", Matrix{Directives: good.Directives, Seeds: SeedRange{Count: -1}}, Options{}, "Matrix.Seeds.Count"},
 		{"negative seed base", Matrix{Directives: good.Directives, Seeds: SeedRange{Base: -7}}, Options{}, "Matrix.Seeds.Base"},
 		{"negative parallelism", good, Options{Parallelism: -2}, "Options.Parallelism"},
-		{"reserved ExtraFaults", Matrix{Directives: []Directive{{
-			Name: "d", Sc: experiments.FleetScenario{ExtraFaults: &faultsPlanStub},
-		}}}, Options{}, "Matrix.Directives"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.m, tc.opts)
@@ -253,8 +313,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestFarmRunsOnlyOnce(t *testing.T) {
-	f, err := New(Matrix{Directives: []Directive{{Name: "d"}}, Seeds: SeedRange{Count: 1}},
-		Options{Runner: func(Cell) (*experiments.FleetResult, error) { return fakeResult(1), nil }})
+	f, err := New(Matrix{Directives: []Directive{fake("d", fakeRun)}, Seeds: SeedRange{Count: 1}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +352,7 @@ func TestDistOfNearestRank(t *testing.T) {
 // Matrix enumeration: directive-major, then plan, then seed, with
 // contiguous row indices.
 func TestCellEnumerationOrder(t *testing.T) {
-	m := simpleMatrix(3)
+	m := simpleMatrix(3, fakeRun, fakeRun)
 	cells := m.Cells()
 	if len(cells) != m.Runs() || m.Runs() != 12 {
 		t.Fatalf("Runs = %d, cells = %d, want 12", m.Runs(), len(cells))
@@ -311,89 +370,5 @@ func TestCellEnumerationOrder(t *testing.T) {
 		if c.Index != i || c.Row != i/3 {
 			t.Fatalf("cell %d: Index=%d Row=%d", i, c.Index, c.Row)
 		}
-	}
-}
-
-// The real fleet runner end to end, small: the default matrix with 2
-// jobs and 2 seeds (4 directives × 3 plans × 2 = 24 cells) must complete
-// with zero failures and identical summaries at both parallelism levels.
-func TestDefaultMatrixFleetRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real fleet sweep")
-	}
-	m := DefaultMatrix(2, 2)
-	a := runAt(t, m, 1, nil)
-	b := runAt(t, m, 8, nil)
-	if a.Summary.Failures != 0 {
-		for _, c := range a.Cells {
-			if c.Err != "" {
-				t.Errorf("cell %s failed: %s", c.Cell, c.Err)
-			}
-		}
-		t.Fatalf("%d cell(s) failed", a.Summary.Failures)
-	}
-	if !bytes.Equal(a.Summary.JSON(), b.Summary.JSON()) {
-		t.Fatalf("fleet sweep summary differs between parallelism 1 and 8:\n%s\nvs\n%s",
-			a.Summary.JSON(), b.Summary.JSON())
-	}
-	// The fault plans must actually bite: the dst-crash rows should show
-	// recovery activity (replans, retried jobs or spare usage) somewhere.
-	for _, r := range a.Summary.Rows {
-		if r.Runs != 2 {
-			t.Fatalf("row %s/%s has %d runs, want 2", r.Directive, r.Plan, r.Runs)
-		}
-	}
-}
-
-// The churn axis end to end: the churn matrix (2 policies × 2 plans)
-// runs real churn cells, each seed a different workload, with a
-// byte-identical summary at parallelism 1 and 8.
-func TestChurnMatrixByteIdenticalAcrossParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real churn sweep")
-	}
-	m := ChurnMatrix(24, 3)
-	a := runAt(t, m, 1, nil)
-	b := runAt(t, m, 8, nil)
-	if a.Summary.Failures != 0 {
-		for _, c := range a.Cells {
-			if c.Err != "" {
-				t.Errorf("cell %s failed: %s", c.Cell, c.Err)
-			}
-		}
-		t.Fatalf("%d cell(s) failed", a.Summary.Failures)
-	}
-	if !bytes.Equal(a.Summary.JSON(), b.Summary.JSON()) {
-		t.Fatalf("churn sweep summary differs between parallelism 1 and 8:\n%s\nvs\n%s",
-			a.Summary.JSON(), b.Summary.JSON())
-	}
-	// The policy axis must be live: only the destination-swap rows spend
-	// corrective migrations (summed as Replans), and the greedy rows none.
-	for _, r := range a.Summary.Rows {
-		switch r.Directive {
-		case "churn-swap":
-			if r.Replans == 0 {
-				t.Errorf("row %s/%s: destination-swap made no corrective moves", r.Directive, r.Plan)
-			}
-		case "churn-greedy":
-			if r.Replans != 0 {
-				t.Errorf("row %s/%s: greedy made %d corrective moves, want 0", r.Directive, r.Plan, r.Replans)
-			}
-		}
-		if n := r.Outcomes["departed"] + r.Outcomes["rejected"]; n != 24*r.Runs {
-			t.Errorf("row %s/%s leaked jobs: outcomes %v over %d runs of 24 jobs",
-				r.Directive, r.Plan, r.Outcomes, r.Runs)
-		}
-	}
-}
-
-// A churn directive that tries to script its own faults is rejected:
-// the farm's fault axis owns Sc.Faults.
-func TestChurnDirectiveFaultsRejected(t *testing.T) {
-	m := ChurnMatrix(8, 1)
-	m.Directives[0].Churn.Sc.Faults = &faultsPlanStub
-	var oe *OptionsError
-	if _, err := New(m, Options{}); !errors.As(err, &oe) {
-		t.Fatalf("New = %v, want *OptionsError for Churn.Sc.Faults", err)
 	}
 }

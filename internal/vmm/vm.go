@@ -48,11 +48,11 @@ type Config struct {
 	Name        string
 	VCPUs       int
 	MemoryBytes float64
-	// ComputeQuantum is the preemption granularity of guest compute work
-	// (how often a compute loop checks the VM run gate). Defaults to one
-	// core-second.
-	ComputeQuantum float64
 }
+
+// computeQuantum is the preemption granularity of guest compute work in
+// core-seconds: how often a compute loop checks the VM run gate.
+const computeQuantum = 1.0
 
 // VM is one QEMU/KVM-like virtual machine.
 type VM struct {
@@ -85,9 +85,6 @@ type VM struct {
 func New(k *sim.Kernel, node *hw.Node, seg *fabric.EthSegment, cfg Config, params Params) (*VM, error) {
 	if cfg.VCPUs <= 0 {
 		return nil, fmt.Errorf("vmm: VM %q with %d vCPUs", cfg.Name, cfg.VCPUs)
-	}
-	if cfg.ComputeQuantum <= 0 {
-		cfg.ComputeQuantum = 1
 	}
 	if err := node.AllocMemory(cfg.MemoryBytes); err != nil {
 		return nil, err
@@ -229,12 +226,11 @@ func (vm *VM) WaitRunnable(p *sim.Proc) {
 // other vCPUs, vhost threads and migration threads), the VM run gate, and
 // host changes mid-computation (the work follows the VM across migration).
 func (vm *VM) Compute(p *sim.Proc, coreSeconds float64) {
-	q := vm.cfg.ComputeQuantum
 	for coreSeconds > 1e-12 {
 		vm.WaitRunnable(p)
 		chunk := coreSeconds
-		if chunk > q {
-			chunk = q
+		if chunk > computeQuantum {
+			chunk = computeQuantum
 		}
 		vm.node.CPU.Serve(p, chunk)
 		coreSeconds -= chunk
@@ -247,7 +243,7 @@ func (vm *VM) Compute(p *sim.Proc, coreSeconds float64) {
 // a quantum boundary. A stopped VM, or a q that Compute would split into
 // several quanta, runs one eager Compute instead.
 func (vm *VM) ComputeChain(p *sim.Proc, c *sim.Chain, n int, q float64) int {
-	if vm.state == Stopped || q > vm.cfg.ComputeQuantum || q <= 1e-12 {
+	if vm.state == Stopped || q > computeQuantum || q <= 1e-12 {
 		vm.Compute(p, q)
 		return 1
 	}

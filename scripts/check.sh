@@ -14,6 +14,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 go build ./...
+# The sweep farm is a generic fan-out engine: the directives it runs are
+# built in internal/scenario, so it imports none of what they run.
+if go list -deps ./internal/simfarm | grep -E '^repro/internal/(experiments|fleet|churn|ninja)$'; then
+    echo "internal/simfarm must not import the packages above" >&2
+    exit 1
+fi
 go vet ./...
 go test -race ./...
 # The zero-allocation wake-up test is built without -race only (the race
