@@ -274,7 +274,7 @@ func runSpec(ctx context.Context, body string) int {
 func runSweep(ctx context.Context, jobs, seeds int) (*metrics.Table, error) {
 	m := scenario.DefaultMatrix(jobs, seeds)
 	fmt.Printf("ext-sweep: %d directive(s) × %d plan(s) × %d seed(s) = %d run(s)\n",
-		len(m.Directives), len(m.Plans), m.Seeds.Count, m.Runs())
+		len(m.Directives), len(m.Plans), m.Runs()/m.Rows(), m.Runs())
 
 	runOnce := func(par int) (*simfarm.Result, error) {
 		f, err := simfarm.New(m, simfarm.Options{Parallelism: par})

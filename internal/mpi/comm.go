@@ -7,21 +7,24 @@ import (
 	"repro/internal/sim"
 )
 
+// collTagBase keeps collective traffic out of the application tag space.
+const collTagBase = 1 << 20
+
 // Comm is a communicator: an ordered subset of the job's ranks with its
 // own collective context (tag space and sequence counters), like an
-// MPI_Comm derived from MPI_COMM_WORLD. Real NPB kernels run their
-// transposes and reductions over row/column communicators of a process
-// grid; Comm makes those patterns expressible.
+// MPI_Comm. The job's world (MPI_COMM_WORLD) is one; real NPB kernels run
+// their transposes and reductions over row/column communicators of a
+// process grid. Every collective is implemented once, here.
 type Comm struct {
 	job   *Job
 	id    int
-	ranks []*Rank     // members, in communicator rank order
-	index map[int]int // world rank → comm rank
-	seq   map[int]int // per-member collective sequence counter
+	ranks []*Rank // members, in communicator rank order
+	index []int   // world rank → comm rank, −1 for non-members
+	seq   []int   // per-member collective sequence counter, by comm rank
 }
 
 // World returns the communicator containing every rank, in world order.
-func (j *Job) World() *Comm { return j.NewComm(nil) }
+func (j *Job) World() *Comm { return j.world }
 
 // NewComm builds a communicator from world rank IDs (deduplicated,
 // order-preserving). nil or empty means all ranks. Every participant must
@@ -34,23 +37,22 @@ func (j *Job) NewComm(worldRanks []int) *Comm {
 			worldRanks[i] = i
 		}
 	}
-	c := &Comm{
-		job:   j,
-		id:    j.nextCommID,
-		index: make(map[int]int),
-		seq:   make(map[int]int),
-	}
+	c := &Comm{job: j, id: j.nextCommID, index: make([]int, len(j.ranks))}
 	j.nextCommID++
+	for i := range c.index {
+		c.index[i] = -1
+	}
 	for _, wr := range worldRanks {
 		if wr < 0 || wr >= len(j.ranks) {
 			panic(fmt.Sprintf("mpi: NewComm with world rank %d out of range", wr))
 		}
-		if _, dup := c.index[wr]; dup {
+		if c.index[wr] >= 0 {
 			continue
 		}
 		c.index[wr] = len(c.ranks)
 		c.ranks = append(c.ranks, j.ranks[wr])
 	}
+	c.seq = make([]int, len(c.ranks))
 	return c
 }
 
@@ -80,64 +82,46 @@ func (c *Comm) Size() int { return len(c.ranks) }
 
 // RankOf returns r's rank within the communicator.
 func (c *Comm) RankOf(r *Rank) (int, bool) {
-	i, ok := c.index[r.id]
-	return i, ok
+	i := c.index[r.id]
+	return i, i >= 0
 }
 
 // WorldRank returns the world rank of communicator rank i.
 func (c *Comm) WorldRank(i int) int { return c.ranks[i].id }
 
-// tag allocates the next collective tag for member r. Because collectives
-// are bulk-synchronous within a communicator, per-member counters stay
-// aligned; communicator IDs keep concurrent communicators' traffic apart.
-func (c *Comm) tag(r *Rank) int {
-	t := collTagBase + (c.id<<14|c.seq[r.id]%4096)<<1 + 1
-	c.seq[r.id]++
-	return t
-}
-
 func (c *Comm) me(r *Rank) int {
-	i, ok := c.index[r.id]
+	i, ok := c.RankOf(r)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d is not a member of this communicator", r.id))
 	}
 	return i
 }
 
-// Send sends bytes to communicator rank dst.
-func (c *Comm) Send(p *sim.Proc, r *Rank, dst, tag int, bytes float64) error {
-	if dst < 0 || dst >= len(c.ranks) {
-		return fmt.Errorf("%w: comm send to %d", ErrRankRange, dst)
-	}
-	return r.Send(p, c.ranks[dst].id, tag, bytes)
-}
-
-// Recv receives from communicator rank src (AnySource allowed).
-func (c *Comm) Recv(p *sim.Proc, r *Rank, src, tag int) (float64, error) {
-	if src == AnySource {
-		return r.Recv(p, AnySource, tag)
-	}
-	if src < 0 || src >= len(c.ranks) {
-		return 0, fmt.Errorf("%w: comm recv from %d", ErrRankRange, src)
-	}
-	return r.Recv(p, c.ranks[src].id, tag)
+// tag allocates the tag of comm rank me's next collective. Because
+// collectives are bulk-synchronous within a communicator, per-member
+// counters stay aligned; communicator IDs keep concurrent communicators'
+// traffic apart.
+func (c *Comm) tag(me int) int {
+	t := collTagBase + c.id<<12 + c.seq[me]%4096
+	c.seq[me]++
+	return t
 }
 
 // Bcast broadcasts bytes from communicator rank root via a binomial tree.
 func (c *Comm) Bcast(p *sim.Proc, r *Rank, root int, bytes float64) error {
 	n := len(c.ranks)
 	if root < 0 || root >= n {
-		return fmt.Errorf("%w: comm bcast root %d", ErrRankRange, root)
+		return fmt.Errorf("%w: bcast root %d", ErrRankRange, root)
 	}
-	tag := c.tag(r)
 	me := c.me(r)
+	tag := c.tag(me)
 	vr := (me - root + n) % n
 	mask := 1
 	for mask < n {
 		if vr&mask != 0 {
 			parent := c.ranks[(vr-mask+root)%n].id
 			if _, err := r.Recv(p, parent, tag); err != nil {
-				return fmt.Errorf("mpi: comm bcast recv: %w", err)
+				return fmt.Errorf("mpi: bcast recv: %w", err)
 			}
 			break
 		}
@@ -148,7 +132,7 @@ func (c *Comm) Bcast(p *sim.Proc, r *Rank, root int, bytes float64) error {
 		if vr+mask < n {
 			child := c.ranks[(vr+mask+root)%n].id
 			if err := r.Send(p, child, tag, bytes); err != nil {
-				return fmt.Errorf("mpi: comm bcast send: %w", err)
+				return fmt.Errorf("mpi: bcast send: %w", err)
 			}
 		}
 		mask >>= 1
@@ -156,14 +140,15 @@ func (c *Comm) Bcast(p *sim.Proc, r *Rank, root int, bytes float64) error {
 	return nil
 }
 
-// Reduce combines bytes at communicator rank root via a binomial tree.
+// Reduce combines bytes at communicator rank root via a binomial tree,
+// charging reduction-operator compute at each combining step.
 func (c *Comm) Reduce(p *sim.Proc, r *Rank, root int, bytes float64) error {
 	n := len(c.ranks)
 	if root < 0 || root >= n {
-		return fmt.Errorf("%w: comm reduce root %d", ErrRankRange, root)
+		return fmt.Errorf("%w: reduce root %d", ErrRankRange, root)
 	}
-	tag := c.tag(r)
 	me := c.me(r)
+	tag := c.tag(me)
 	vr := (me - root + n) % n
 	mask := 1
 	for mask < n {
@@ -171,14 +156,15 @@ func (c *Comm) Reduce(p *sim.Proc, r *Rank, root int, bytes float64) error {
 			if vr+mask < n {
 				child := c.ranks[(vr+mask+root)%n].id
 				if _, err := r.Recv(p, child, tag); err != nil {
-					return fmt.Errorf("mpi: comm reduce recv: %w", err)
+					return fmt.Errorf("mpi: reduce recv: %w", err)
 				}
+				// Combine the incoming buffer with the local one.
 				r.Compute(p, bytes/reduceBandwidth)
 			}
 		} else {
 			parent := c.ranks[(vr-mask+root)%n].id
 			if err := r.Send(p, parent, tag, bytes); err != nil {
-				return fmt.Errorf("mpi: comm reduce send: %w", err)
+				return fmt.Errorf("mpi: reduce send: %w", err)
 			}
 			break
 		}
@@ -195,11 +181,14 @@ func (c *Comm) Allreduce(p *sim.Proc, r *Rank, bytes float64) error {
 	return c.Bcast(p, r, 0, bytes)
 }
 
-// Alltoall exchanges blockBytes pairwise among the communicator's members.
+// Alltoall exchanges blockBytes with every other member via pairwise
+// exchange (XOR schedule; requires power-of-two sizes for perfect
+// pairing, which all paper configurations satisfy, but degrades gracefully
+// by skipping out-of-range partners otherwise).
 func (c *Comm) Alltoall(p *sim.Proc, r *Rank, blockBytes float64) error {
 	n := len(c.ranks)
-	tag := c.tag(r)
 	me := c.me(r)
+	tag := c.tag(me)
 	for round := 1; round < nextPow2(n); round++ {
 		partner := me ^ round
 		if partner >= n {
@@ -207,26 +196,58 @@ func (c *Comm) Alltoall(p *sim.Proc, r *Rank, blockBytes float64) error {
 		}
 		pw := c.ranks[partner].id
 		if _, err := r.Sendrecv(p, pw, tag, blockBytes, pw, tag); err != nil {
-			return fmt.Errorf("mpi: comm alltoall round %d: %w", round, err)
+			return fmt.Errorf("mpi: alltoall round %d: %w", round, err)
 		}
 	}
 	return nil
 }
 
-// Barrier is a zero-byte dissemination barrier over the communicator.
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// Barrier is a zero-byte dissemination barrier over the communicator's
+// BTLs (unlike Job.Barrier, which uses the OOB channel).
 func (c *Comm) Barrier(p *sim.Proc, r *Rank) error {
 	n := len(c.ranks)
-	tag := c.tag(r)
 	me := c.me(r)
+	tag := c.tag(me)
 	for dist := 1; dist < n; dist <<= 1 {
 		dst := c.ranks[(me+dist)%n].id
 		src := c.ranks[(me-dist+n)%n].id
 		if err := r.Send(p, dst, tag, 1); err != nil {
-			return fmt.Errorf("mpi: comm barrier send: %w", err)
+			return fmt.Errorf("mpi: barrier send: %w", err)
 		}
 		if _, err := r.Recv(p, src, tag); err != nil {
-			return fmt.Errorf("mpi: comm barrier recv: %w", err)
+			return fmt.Errorf("mpi: barrier recv: %w", err)
 		}
 	}
 	return nil
+}
+
+// Bcast broadcasts bytes from world rank root (MPI_COMM_WORLD).
+func (r *Rank) Bcast(p *sim.Proc, root int, bytes float64) error {
+	return r.job.world.Bcast(p, r, root, bytes)
+}
+
+// Reduce combines bytes from every rank at world rank root.
+func (r *Rank) Reduce(p *sim.Proc, root int, bytes float64) error {
+	return r.job.world.Reduce(p, r, root, bytes)
+}
+
+// Allreduce is a world Reduce to rank 0 followed by Bcast.
+func (r *Rank) Allreduce(p *sim.Proc, bytes float64) error {
+	return r.job.world.Allreduce(p, r, bytes)
+}
+
+// BarrierColl is a world dissemination barrier over the BTLs.
+func (r *Rank) BarrierColl(p *sim.Proc) error { return r.job.world.Barrier(p, r) }
+
+// Alltoall exchanges blockBytes with every other rank of the world.
+func (r *Rank) Alltoall(p *sim.Proc, blockBytes float64) error {
+	return r.job.world.Alltoall(p, r, blockBytes)
 }

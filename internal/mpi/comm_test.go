@@ -105,31 +105,6 @@ func TestCommBcastReduceRoots(t *testing.T) {
 	}
 }
 
-func TestCommSendRecv(t *testing.T) {
-	r := newRig(t, 2, 1, true)
-	c := r.job.NewComm([]int{1, 0}) // reversed order
-	var got float64
-	r.job.Launch("sr", func(p *sim.Proc, rk *Rank) {
-		me, _ := c.RankOf(rk)
-		switch me {
-		case 0: // world rank 1
-			if err := c.Send(p, rk, 1, 5, 777); err != nil {
-				t.Errorf("send: %v", err)
-			}
-		case 1: // world rank 0
-			b, err := c.Recv(p, rk, 0, 5)
-			if err != nil {
-				t.Errorf("recv: %v", err)
-			}
-			got = b
-		}
-	})
-	r.k.Run()
-	if got != 777 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestCommNonMemberPanics(t *testing.T) {
 	r := newRig(t, 2, 1, true)
 	c := r.job.NewComm([]int{0})

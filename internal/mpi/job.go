@@ -67,6 +67,9 @@ type Job struct {
 	// which case the continue path reconstructs as usual.
 	transparentCkpt bool
 
+	// world is MPI_COMM_WORLD, built once at launch; the world
+	// collectives on Rank run over it.
+	world      *Comm
 	nextCommID int
 }
 
@@ -88,11 +91,11 @@ func NewJob(k *sim.Kernel, cfg Config) (*Job, error) {
 			wake: sim.NewCond(k),
 
 			sendrecvName: fmt.Sprintf("rank%d/sendrecv", i),
-			isendName:    fmt.Sprintf("rank%d/isend", i),
 		}
 		r.btls = btl.NewSet(r, btl.NewSM(r), btl.NewOpenIB(r), btl.NewTCP(r))
 		j.ranks = append(j.ranks, r)
 	}
+	j.world = j.NewComm(nil)
 	return j, nil
 }
 

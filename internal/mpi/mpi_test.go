@@ -288,22 +288,6 @@ func TestBarrierCollSynchronizes(t *testing.T) {
 	}
 }
 
-func TestAllgatherRing(t *testing.T) {
-	r := newRig(t, 4, 1, true)
-	done := 0
-	r.job.Launch("ag", func(p *sim.Proc, rk *Rank) {
-		if err := rk.Allgather(p, 1e6); err != nil {
-			t.Errorf("allgather: %v", err)
-			return
-		}
-		done++
-	})
-	r.k.Run()
-	if done != 4 {
-		t.Fatalf("done = %d/4", done)
-	}
-}
-
 func TestAlltoallPairwise(t *testing.T) {
 	r := newRig(t, 4, 2, true)
 	done := 0

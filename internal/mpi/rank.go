@@ -20,7 +20,6 @@ type Rank struct {
 	recvQ  []*recvReq
 	unexpQ []*message
 
-	collSeq int
 	// hadOpenIB records whether the openib BTL was usable when the last
 	// pre-checkpoint release ran; the continue path reconstructs BTLs
 	// only in that case unless ContinueLikeRestart forces it.
@@ -46,9 +45,9 @@ type Rank struct {
 	// chain is the rank's ComputeLoop chain, surfaced by RequestCheckpoint.
 	chain sim.Chain
 
-	// sendrecvName and isendName name the helper processes Sendrecv and
-	// Isend start, built once per rank rather than per call.
-	sendrecvName, isendName string
+	// sendrecvName names the helper process Sendrecv starts, built once
+	// per rank rather than per call.
+	sendrecvName string
 }
 
 // spinBegin marks the rank as busy-polling inside a blocking MPI call.

@@ -9,9 +9,10 @@ import (
 )
 
 // TestRandomCollectiveSequencesWithCheckpoint is an integration property
-// test: for random job shapes and random collective sequences, a
-// checkpoint injected mid-run must not lose messages, deadlock, or change
-// the number of operations each rank completes.
+// test: for random job shapes and random collective sequences, over the
+// world and over pair communicators, a checkpoint injected mid-run must
+// not lose messages, deadlock, or change the number of operations each
+// rank completes.
 func TestRandomCollectiveSequencesWithCheckpoint(t *testing.T) {
 	f := func(shapeRaw, opsRaw uint8, opskind []uint8) bool {
 		nVMs := int(shapeRaw%3)*2 + 2     // 2, 4 or 6 VMs
@@ -19,6 +20,7 @@ func TestRandomCollectiveSequencesWithCheckpoint(t *testing.T) {
 		nOps := int(opsRaw%6) + 4
 		r := newRig(t, nVMs, ranksPerVM, true)
 		installCRS(r.job, nil, nil)
+		pairs := r.job.Split(func(wr int) int { return wr / 2 })
 
 		completed := make([]int, r.job.Size())
 		app := r.job.Launch("stress", func(p *sim.Proc, rk *Rank) {
@@ -39,9 +41,9 @@ func TestRandomCollectiveSequencesWithCheckpoint(t *testing.T) {
 				case 3:
 					err = rk.BarrierColl(p)
 				case 4:
-					err = rk.Allgather(p, 1e4)
+					err = rk.Alltoall(p, 1e4)
 				case 5:
-					err = rk.Gather(p, 0, 1e4)
+					err = pairs[rk.RankID()/2].Alltoall(p, rk, 1e5)
 				}
 				if err != nil {
 					t.Logf("op %d kind %d: %v", op, kind, err)

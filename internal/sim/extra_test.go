@@ -201,26 +201,3 @@ func TestPSVerySlowJobDoesNotOverflow(t *testing.T) {
 		t.Fatal("job cannot have finished")
 	}
 }
-
-type captureLogger struct{ lines []string }
-
-func (c *captureLogger) Logf(format string, args ...any) {
-	c.lines = append(c.lines, format)
-}
-
-func TestKernelTracing(t *testing.T) {
-	k := NewKernel()
-	log := &captureLogger{}
-	k.SetTrace(log)
-	k.Schedule(Second, func() { k.Tracef("event %d", 1) })
-	k.Run()
-	if len(log.lines) != 1 {
-		t.Fatalf("trace lines = %d, want 1", len(log.lines))
-	}
-	k.SetTrace(nil)
-	k.Schedule(Second, func() { k.Tracef("dropped") })
-	k.Run()
-	if len(log.lines) != 1 {
-		t.Fatal("Tracef with nil logger should be a no-op")
-	}
-}

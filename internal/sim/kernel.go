@@ -2,11 +2,6 @@ package sim
 
 import "fmt"
 
-// Logger receives kernel trace output when tracing is enabled.
-type Logger interface {
-	Logf(format string, args ...any)
-}
-
 // Stats counts scheduler activity since kernel creation.
 type Stats struct {
 	Scheduled uint64 // events accepted by Schedule/ScheduleAt
@@ -127,7 +122,6 @@ type Kernel struct {
 	running   bool
 	stopReq   bool // cooperative Stop() requested; consumed by RunUntil
 	failure   any  // first panic propagated from a proc
-	trace     Logger
 	closed    bool
 	cur       place // place of the running event
 	// inst logs, for the events of the current instant that were
@@ -149,16 +143,6 @@ func NewKernel() *Kernel { return &Kernel{} }
 // events/sec benchmarks).
 func (k *Kernel) Stats() Stats {
 	return Stats{Scheduled: k.scheduled, Executed: k.executed, Cancelled: k.cancelled}
-}
-
-// SetTrace installs a trace logger (nil disables tracing).
-func (k *Kernel) SetTrace(l Logger) { k.trace = l }
-
-// Tracef emits a trace line prefixed with the current simulated time.
-func (k *Kernel) Tracef(format string, args ...any) {
-	if k.trace != nil {
-		k.trace.Logf("[%s] %s", k.now, fmt.Sprintf(format, args...))
-	}
 }
 
 // Now returns the current simulated time.

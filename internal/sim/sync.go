@@ -324,54 +324,3 @@ func (c *Cond) Broadcast() {
 
 // Waiting returns the number of parked waiters.
 func (c *Cond) Waiting() int { return len(c.waiters) }
-
-// Semaphore is a counting semaphore with FIFO acquisition order.
-type Semaphore struct {
-	k       *Kernel
-	tokens  int
-	waiters []*semWait
-}
-
-type semWait struct {
-	p *Proc
-	n int
-}
-
-// NewSemaphore returns a semaphore with the given number of tokens.
-func NewSemaphore(k *Kernel, tokens int) *Semaphore {
-	if tokens < 0 {
-		panic("sim: NewSemaphore with negative tokens")
-	}
-	return &Semaphore{k: k, tokens: tokens}
-}
-
-// Acquire takes n tokens, blocking until available. FIFO order is strict:
-// a large waiter at the head blocks smaller waiters behind it.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		panic("sim: Semaphore.Acquire with non-positive n")
-	}
-	if len(s.waiters) == 0 && s.tokens >= n {
-		s.tokens -= n
-		return
-	}
-	s.waiters = append(s.waiters, &semWait{p: p, n: n})
-	p.park()
-}
-
-// Release returns n tokens and wakes eligible waiters in FIFO order.
-func (s *Semaphore) Release(n int) {
-	if n <= 0 {
-		panic("sim: Semaphore.Release with non-positive n")
-	}
-	s.tokens += n
-	for len(s.waiters) > 0 && s.tokens >= s.waiters[0].n {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.tokens -= w.n
-		s.k.Schedule(0, w.p.wake)
-	}
-}
-
-// Available returns the current token count.
-func (s *Semaphore) Available() int { return s.tokens }

@@ -298,50 +298,6 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
-func TestSemaphoreFIFO(t *testing.T) {
-	k := NewKernel()
-	s := NewSemaphore(k, 2)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		k.Go("w", func(p *Proc) {
-			p.Sleep(Time(i) * Millisecond)
-			s.Acquire(p, 1)
-			order = append(order, i)
-			p.Sleep(Second)
-			s.Release(1)
-		})
-	}
-	k.Run()
-	for i, v := range []int{0, 1, 2, 3} {
-		if order[i] != v {
-			t.Fatalf("order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestSemaphoreLargeWaiterBlocksQueue(t *testing.T) {
-	k := NewKernel()
-	s := NewSemaphore(k, 2)
-	var order []string
-	k.Go("big", func(p *Proc) {
-		p.Sleep(Millisecond)
-		s.Acquire(p, 3) // cannot be satisfied until 3 tokens free
-		order = append(order, "big")
-		s.Release(3)
-	})
-	k.Go("small", func(p *Proc) {
-		p.Sleep(2 * Millisecond)
-		s.Acquire(p, 1) // arrives later; must queue behind big (strict FIFO)
-		order = append(order, "small")
-	})
-	k.Schedule(Second, func() { s.Release(1) })
-	k.Run()
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
-	}
-}
-
 func TestWaitAll(t *testing.T) {
 	k := NewKernel()
 	f1, f2 := NewFuture[int](k), NewFuture[int](k)

@@ -37,6 +37,11 @@ go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 >/dev/null
 # ...and the time-expanded max-flow sequencing matrix (the alternate
 # planner drives the same executor through merged rounds).
 go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-seq=maxflow >/dev/null
+# MPI smokes: an IMB all-to-all before and after a fallback migration to
+# Ethernet/TCP, and a 16-rank FT (a 4×4 grid, so its transposes run over
+# row communicators) through a Ninja migration to the IB cluster.
+go run ./cmd/mpibench -pattern=alltoall -vms=4 -ranks=2 -compare >/dev/null
+go run ./cmd/ninjasim -vms=4 -ranks=4 -workload=FT -scale=0.02 -migrate-at=20 -dst=ib >/dev/null
 # RDMA-native ladder smoke under the race detector: every rung (clean QP
 # replay, the three injected demotions, the preflight demotion and the
 # hotplug baseline) on a 2-VM deployment.
