@@ -32,7 +32,7 @@ func trafficCases() []trafficCase {
 	}})
 	npb := func(kernel string) func(func(int, sim.Time)) Workload {
 		return func(step func(int, sim.Time)) Workload {
-			b, _ := NPBClassD(kernel) // FT and CG are presets; TestNPBPresets checks them
+			b, _ := NPBClassD(kernel) // every kernel is a preset; TestNPBPresets checks them
 			b.Iterations, b.ComputePerIter, b.IterDone = 3, 0.01, step
 			return b
 		}
@@ -42,7 +42,12 @@ func trafficCases() []trafficCase {
 	cs = append(cs,
 		trafficCase{"npb-FT-grid", 4, 4, npb("FT")},
 		trafficCase{"npb-FT-world", 2, 4, npb("FT")},
-		trafficCase{"npb-CG", 4, 4, npb("CG")})
+		trafficCase{"npb-CG", 4, 4, npb("CG")},
+		// BT and LU exchange with their ring neighbours by rendezvous
+		// Sendrecv; on 4 VMs the ring crosses VMs, so openib pairs run
+		// beside sm ones.
+		trafficCase{"npb-BT", 4, 4, npb("BT")},
+		trafficCase{"npb-LU", 4, 4, npb("LU")})
 	return cs
 }
 
@@ -101,8 +106,9 @@ func runTraffic(t *testing.T, b *strings.Builder, c trafficCase, ckptAfter sim.T
 }
 
 // TestTrafficGolden pins the exact traffic of every collective the
-// workloads call: each IMB pattern, BcastReduce, and NPB FT (on row
-// communicators and on the world fallback) and CG, each once clean and
+// workloads call: each IMB pattern, BcastReduce, NPB FT (on row
+// communicators and on the world fallback) and CG, and the neighbour
+// Sendrecv rings of NPB BT and LU, each once clean and
 // once with a checkpoint requested halfway through the clean run. Rank
 // 0's per-step and per-size times, every rank's finish instant and the
 // kernel's event counts must match testdata/traffic.golden byte for byte.
