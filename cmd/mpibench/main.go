@@ -33,6 +33,7 @@ func run(pattern string, nVMs, ranks int, tcpOnly bool) ([]workloads.IMBResult, 
 	if err != nil {
 		return nil, err
 	}
+	defer d.K.Close()
 	bench := &workloads.IMB{Pattern: pattern}
 	done, err := workloads.Run(d.Job, bench)
 	if err != nil {

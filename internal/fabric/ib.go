@@ -328,20 +328,10 @@ func (qp *QueuePair) PostSend(bytes float64) (*sim.Future[struct{}], error) {
 	}
 	net := qp.hca.subnet.sw.net
 	path := Path(qp.hca.adapter, peer.adapter)
-	fut := sim.NewFuture[struct{}](net.k)
-	flow := net.StartFlow(path, bytes, 0)
-	lat := qp.hca.subnet.MsgLatency
 	qp.inflight++
-	flow.Done().OnDone(func(struct{}) {
-		net.k.Schedule(lat, func() {
-			if qp.inflight > 0 {
-				qp.inflight--
-			}
-			qp.completed++
-			fut.Set(struct{}{})
-		})
-	})
-	return fut, nil
+	// The flow's done resolves the message latency after its data is in,
+	// when the send's completion is reaped.
+	return net.startFlow(path, bytes, 0, qp, qp.hca.subnet.MsgLatency).Done(), nil
 }
 
 // Send is PostSend + blocking wait.

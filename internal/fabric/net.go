@@ -5,9 +5,10 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -29,6 +30,7 @@ type Link struct {
 // Flow is an in-progress transfer across a path of links. Its rate is
 // recomputed by the network whenever the set of active flows changes.
 type Flow struct {
+	net       *Network
 	id        uint64 // creation order; fixes every iteration order
 	path      []*Link
 	remaining float64
@@ -38,7 +40,25 @@ type Flow struct {
 	cancelled bool
 	active    bool // in its bandwidth phase (member of the network's flows)
 	assigned  bool // rate settled in the current computeRates pass
+	// step is f.advance, bound once: every event of the flow's life runs
+	// it, and phase says which one is due.
+	step  func()
+	phase flowPhase
+	// qp, when set, is the queue pair whose send the flow carries: done
+	// resolves tail after the data is in, when the send completes (see
+	// QueuePair.PostSend).
+	qp   *QueuePair
+	tail sim.Time
 }
+
+// flowPhase is the next event of a flow's life.
+type flowPhase uint8
+
+const (
+	phaseLatency  flowPhase = iota // the path latency elapses
+	phaseArrived                   // a QP send's data is in
+	phaseComplete                  // a QP send's completion is reaped
+)
 
 // Done returns the future resolved when the flow finishes.
 func (f *Flow) Done() *sim.Future[struct{}] { return f.done }
@@ -56,20 +76,21 @@ func (f *Flow) Rate() float64 { return f.rate }
 // a completion by a nanosecond.
 type flowSet []*Flow
 
+func byID(f *Flow, id uint64) int { return cmp.Compare(f.id, id) }
+
 func (s *flowSet) add(f *Flow) {
-	i := sort.Search(len(*s), func(i int) bool { return (*s)[i].id >= f.id })
-	if i < len(*s) && (*s)[i] == f {
+	i, found := slices.BinarySearchFunc(*s, f.id, byID)
+	if found {
 		return // a path may cross a link twice
 	}
-	*s = append(*s, nil)
-	copy((*s)[i+1:], (*s)[i:])
-	(*s)[i] = f
+	*s = slices.Insert(*s, i, f)
 }
 
+// remove deletes f. slices.Delete clears the vacated last slot, so the set
+// does not keep a finished flow reachable.
 func (s *flowSet) remove(f *Flow) {
-	i := sort.Search(len(*s), func(i int) bool { return (*s)[i].id >= f.id })
-	if i < len(*s) && (*s)[i] == f {
-		*s = append((*s)[:i], (*s)[i+1:]...)
+	if i, found := slices.BinarySearchFunc(*s, f.id, byID); found {
+		*s = slices.Delete(*s, i, i+1)
 	}
 }
 
@@ -83,11 +104,21 @@ type Network struct {
 	nextID     uint64
 	lastUpdate sim.Time
 	pending    sim.Event
+	// replanDue is n.planned, bound once: the next-completion event.
+	replanDue func()
+	// routes caches Route by adapter pair; Connect, the only call that
+	// changes the switch graph, clears it.
+	routes map[[2]*Adapter]route
+	// Scratch of replan and computeRates, kept between calls.
+	finished []*Flow
+	busy     []*Link
 }
 
 // NewNetwork returns an empty network bound to k.
 func NewNetwork(k *sim.Kernel) *Network {
-	return &Network{k: k}
+	n := &Network{k: k}
+	n.replanDue = n.planned
+	return n
 }
 
 // Kernel returns the simulation kernel the network runs on.
@@ -125,20 +156,40 @@ func (n *Network) StartFlow(path []*Link, bytes float64, maxRate float64) *Flow 
 			panic("fabric: StartFlow with link from another network")
 		}
 	}
+	return n.startFlow(path, bytes, maxRate, nil, 0)
+}
+
+// startFlow is StartFlow for a flow that, when qp is set, carries a send
+// of qp completing tail after its data is in.
+func (n *Network) startFlow(path []*Link, bytes, maxRate float64, qp *QueuePair, tail sim.Time) *Flow {
 	n.nextID++
 	f := &Flow{
+		net:       n,
 		id:        n.nextID,
 		path:      path,
 		remaining: bytes,
 		maxRate:   maxRate,
 		done:      sim.NewFuture[struct{}](n.k),
+		qp:        qp,
+		tail:      tail,
 	}
-	lat := PathLatency(path)
-	if bytes <= 0 || len(path) == 0 {
-		n.k.Schedule(lat, func() { f.done.Set(struct{}{}) })
-		return f
-	}
-	n.k.Schedule(lat, func() {
+	f.step = f.advance
+	n.k.Schedule(PathLatency(path), f.step)
+	return f
+}
+
+// advance runs the flow's next event. After the path latency a flow with
+// bytes to move joins the bandwidth phase; one without is done. A QP
+// send's data arrival takes one zero-delay hop before its completion
+// latency, as a completion callback would.
+func (f *Flow) advance() {
+	n := f.net
+	switch f.phase {
+	case phaseLatency:
+		if f.remaining <= 0 || len(f.path) == 0 {
+			n.finish(f)
+			return
+		}
 		if f.cancelled {
 			return
 		}
@@ -149,8 +200,27 @@ func (n *Network) StartFlow(path []*Link, bytes float64, maxRate float64) *Flow 
 			l.flows.add(f)
 		}
 		n.replan()
-	})
-	return f
+	case phaseArrived:
+		f.phase = phaseComplete
+		n.k.Schedule(f.tail, f.step)
+	case phaseComplete:
+		if f.qp.inflight > 0 {
+			f.qp.inflight--
+		}
+		f.qp.completed++
+		f.done.Set(struct{}{})
+	}
+}
+
+// finish marks f's data as delivered: its done resolves now, or, for a QP
+// send, after the completion path.
+func (n *Network) finish(f *Flow) {
+	if f.qp == nil {
+		f.done.Set(struct{}{})
+		return
+	}
+	f.phase = phaseArrived
+	n.k.Schedule(0, f.step)
 }
 
 // Transfer runs a flow and blocks the calling process until it completes.
@@ -205,16 +275,17 @@ const flowEpsilon = 1e-6
 // replan completes finished flows, recomputes max-min fair rates and
 // schedules the next completion event.
 func (n *Network) replan() {
-	var finished []*Flow
 	for _, f := range n.flows {
 		if f.remaining <= flowEpsilon {
-			finished = append(finished, f)
+			n.finished = append(n.finished, f)
 		}
 	}
-	for _, f := range finished {
+	for i, f := range n.finished {
 		n.removeFlow(f)
-		f.done.Set(struct{}{})
+		n.finish(f)
+		n.finished[i] = nil
 	}
+	n.finished = n.finished[:0]
 	n.pending.Cancel()
 	n.pending = sim.Event{}
 	if len(n.flows) == 0 {
@@ -235,11 +306,14 @@ func (n *Network) replan() {
 	if next == sim.MaxTime {
 		return // all flows stalled or absurdly slow; nothing to schedule
 	}
-	n.pending = n.k.Schedule(next, func() {
-		n.pending = sim.Event{}
-		n.sync()
-		n.replan()
-	})
+	n.pending = n.k.Schedule(next, n.replanDue)
+}
+
+// planned is the event of the next flow completion replan predicted.
+func (n *Network) planned() {
+	n.pending = sim.Event{}
+	n.sync()
+	n.replan()
 }
 
 // computeRates performs max-min fair allocation with per-flow caps
@@ -252,7 +326,7 @@ func (n *Network) computeRates() {
 		f.assigned = false
 	}
 	unassigned := len(n.flows)
-	var busy []*Link // links carrying flows
+	busy := n.busy[:0] // links carrying flows
 	for _, l := range n.links {
 		if len(l.flows) == 0 {
 			continue
@@ -261,6 +335,7 @@ func (n *Network) computeRates() {
 		l.cnt = len(l.flows)
 		busy = append(busy, l)
 	}
+	n.busy = busy
 	settle := func(f *Flow, rate float64) {
 		f.rate = rate
 		f.assigned = true

@@ -317,3 +317,22 @@ func TestFlowCompletionOrderReplays(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowSetsClearVacatedSlots: once flows finish, neither the network's
+// flow set nor a link's keeps a pointer to one in its spare capacity.
+func TestFlowSetsClearVacatedSlots(t *testing.T) {
+	k := sim.NewKernel()
+	n := NewNetwork(k)
+	l := n.NewLink("l", 1000, 0)
+	for _, bytes := range []float64{100, 200, 300} {
+		n.StartFlow([]*Link{l}, bytes, 0)
+	}
+	k.Run()
+	for _, set := range []flowSet{n.flows, l.flows} {
+		for _, f := range set[:cap(set)] {
+			if f != nil {
+				t.Fatalf("a flow set keeps finished flow %d in a vacated slot", f.id)
+			}
+		}
+	}
+}

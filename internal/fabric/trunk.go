@@ -39,6 +39,7 @@ func (n *Network) Connect(a, b *Switch, bandwidth float64, latency sim.Time) *Tr
 		ba: n.NewLink(fmt.Sprintf("trunk/%s→%s", b.Name, a.Name), bandwidth, latency),
 	}
 	n.trunks = append(n.trunks, t)
+	clear(n.routes) // a new trunk may shorten or open a route
 	return t
 }
 
@@ -71,9 +72,17 @@ func (n *Network) neighbors(sw *Switch) []struct {
 	return out
 }
 
+// route is one cached Route result.
+type route struct {
+	path []*Link
+	err  error
+}
+
 // Route returns the link path from src to dst: src's up-link, the trunk
 // links of a shortest switch path (BFS, deterministic tie-break by trunk
 // creation order), and dst's down-link. A route to self is empty.
+// Results are cached per adapter pair, so callers share the returned
+// path and must not modify it.
 func Route(src, dst *Adapter) ([]*Link, error) {
 	if src == nil || dst == nil {
 		return nil, ErrNoRoute
@@ -81,12 +90,26 @@ func Route(src, dst *Adapter) ([]*Link, error) {
 	if src == dst {
 		return nil, nil
 	}
-	if src.sw == dst.sw {
-		return []*Link{src.up, dst.down}, nil
-	}
 	n := src.sw.net
 	if dst.sw.net != n {
 		return nil, ErrNoRoute
+	}
+	key := [2]*Adapter{src, dst}
+	rt, ok := n.routes[key]
+	if !ok {
+		rt.path, rt.err = n.route(src, dst)
+		if n.routes == nil {
+			n.routes = make(map[[2]*Adapter]route)
+		}
+		n.routes[key] = rt
+	}
+	return rt.path, rt.err
+}
+
+// route computes Route between two adapters of n.
+func (n *Network) route(src, dst *Adapter) ([]*Link, error) {
+	if src.sw == dst.sw {
+		return []*Link{src.up, dst.down}, nil
 	}
 	// BFS over the switch graph.
 	type hop struct {
@@ -118,7 +141,8 @@ func Route(src, dst *Adapter) ([]*Link, error) {
 		middle = append([]*Link{visited[sw].via}, middle...)
 	}
 	path := append([]*Link{src.up}, middle...)
-	return append(path, dst.down), nil
+	path = append(path, dst.down)
+	return path[:len(path):len(path)], nil
 }
 
 // RouteReachable reports whether a route exists between the adapters.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -99,6 +100,36 @@ func TestRouteNoRoute(t *testing.T) {
 	}
 	if Reachable(a, b) {
 		t.Fatal("unconnected switches reachable")
+	}
+}
+
+// TestRouteCacheFollowsConnect: Route caches its answers per adapter
+// pair, and Connect drops them, so a trunk added later opens a route that
+// was refused and shortens one that was found.
+func TestRouteCacheFollowsConnect(t *testing.T) {
+	k := sim.NewKernel()
+	n := NewNetwork(k)
+	s1 := n.NewSwitch("s1", Ethernet)
+	s2 := n.NewSwitch("s2", Ethernet)
+	s3 := n.NewSwitch("s3", Ethernet)
+	a := s1.NewAdapter("a", 100, 0)
+	c := s3.NewAdapter("c", 100, 0)
+	if _, err := Route(a, c); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("unconnected: err = %v, want ErrNoRoute", err)
+	}
+	n.Connect(s1, s2, 1000, sim.Millisecond)
+	n.Connect(s2, s3, 1000, sim.Millisecond)
+	path, err := Route(a, c)
+	if err != nil || len(path) != 4 {
+		t.Fatalf("via s2: path %v, err %v; want 4 links", path, err)
+	}
+	if again, _ := Route(a, c); &again[0] != &path[0] {
+		t.Fatal("a repeated Route did not return the cached path")
+	}
+	direct := n.Connect(s1, s3, 1000, sim.Millisecond)
+	path, _ = Route(a, c)
+	if ab, _ := direct.Links(); len(path) != 3 || path[1] != ab {
+		t.Fatalf("after the direct trunk: path %v, want the direct hop", path)
 	}
 }
 

@@ -71,6 +71,11 @@ type Job struct {
 	// collectives on Rank run over it.
 	world      *Comm
 	nextCommID int
+
+	// freeMsgs and freeReqs recycle the messages and posted receives of
+	// completed receives.
+	freeMsgs []*message
+	freeReqs []*recvReq
 }
 
 // NewJob launches an MPI job across the given VMs. Each rank gets its own

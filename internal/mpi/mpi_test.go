@@ -21,7 +21,7 @@ type rig struct {
 	job *Job
 }
 
-func newRig(t *testing.T, nVMs, ranksPerVM int, withIB bool) *rig {
+func newRig(t testing.TB, nVMs, ranksPerVM int, withIB bool) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)

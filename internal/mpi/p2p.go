@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -16,32 +17,43 @@ const (
 const rendezvousHeaderBytes = 64
 
 // message is a delivered (or announced, for rendezvous) point-to-point
-// message sitting in a rank's matching engine.
+// message sitting in a rank's matching engine. Once its receive completes
+// it goes back to the job's free list.
 type message struct {
 	src    int
 	sender *Rank
 	tag    int
 	bytes  float64
-	// rndv is non-nil for a rendezvous announcement: the receiver resolves
-	// it with its clear-to-send, and the sender resolves done when the
-	// payload lands.
-	rndv *sim.Future[*rendezvous]
+	// rndv marks a rendezvous announcement: the receiver sets cts (its
+	// clear-to-send) when it matches the message, and the sender sets
+	// landed once the payload is on the receiver. The sender does not
+	// touch the message after setting landed.
+	rndv, cts, landed bool
 }
 
-// rendezvous is the receiver's clear-to-send handshake state.
-type rendezvous struct {
-	receiver *Rank
-	done     *sim.Future[struct{}]
-}
-
-// recvReq is a posted receive awaiting a match.
+// recvReq is a posted receive awaiting a match. deliver sets msg and
+// matched.
 type recvReq struct {
 	src, tag int
-	got      *sim.Future[*message]
+	matched  bool
+	msg      *message
 }
 
-func (q *recvReq) matches(m *message) bool {
-	return (q.src == AnySource || q.src == m.src) && (q.tag == AnyTag || q.tag == m.tag)
+// matches reports whether a receive posted for (src, tag) takes m.
+func matches(src, tag int, m *message) bool {
+	return (src == AnySource || src == m.src) && (tag == AnyTag || tag == m.tag)
+}
+
+// recycled pops an object off the free list *free, or allocates one.
+func recycled[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
 }
 
 // Send delivers bytes to rank dst with the given tag. Small messages use
@@ -59,24 +71,23 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, bytes float64) error {
 	if err != nil {
 		return err
 	}
-	if bytes <= eagerLimit {
+	msg := recycled(&r.job.freeMsgs)
+	*msg = message{src: r.id, sender: r, tag: tag, bytes: bytes, rndv: bytes > eagerLimit}
+	if !msg.rndv {
 		if err := mod.Transfer(p, peer, bytes); err != nil {
 			return err
 		}
-		peer.deliver(&message{src: r.id, sender: r, tag: tag, bytes: bytes})
+		peer.deliver(msg)
 		return nil
 	}
 	// Rendezvous: RTS header, wait for CTS, then the payload.
-	msg := &message{src: r.id, sender: r, tag: tag, bytes: bytes,
-		rndv: sim.NewFuture[*rendezvous](r.job.k)}
 	if err := mod.Transfer(p, peer, rendezvousHeaderBytes); err != nil {
 		return err
 	}
 	peer.deliver(msg)
 	// The CTS wait is checkpoint-interruptible: a pending coordination may
 	// run while we are parked here, tearing down and rebuilding the BTLs.
-	r.waitInterruptible(p, msg.rndv.Done)
-	rv := msg.rndv.Value()
+	r.waitInterruptible(p, &msg.cts)
 	// Re-select: the transport may have changed across a checkpoint
 	// (fallback migration switches openib → tcp mid-rendezvous).
 	mod, err = r.btls.Select(peer)
@@ -86,8 +97,8 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, bytes float64) error {
 	if err := mod.Transfer(p, peer, bytes); err != nil {
 		return err
 	}
-	rv.done.Set(struct{}{})
-	rv.receiver.wake.Broadcast()
+	msg.landed = true
+	peer.wake.Broadcast()
 	return nil
 }
 
@@ -96,36 +107,45 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, bytes float64) error {
 func (r *Rank) Recv(p *sim.Proc, src, tag int) (float64, error) {
 	r.spinBegin()
 	defer r.spinEnd()
-	req := &recvReq{src: src, tag: tag, got: sim.NewFuture[*message](r.job.k)}
-	if msg := r.takeUnexpected(req); msg != nil {
-		return r.completeRecv(p, msg)
+	msg := r.takeUnexpected(src, tag)
+	if msg == nil {
+		req := recycled(&r.job.freeReqs)
+		*req = recvReq{src: src, tag: tag}
+		r.recvQ = append(r.recvQ, req)
+		// Checkpoint-interruptible: the posted receive survives a full
+		// coordination cycle (it is runtime state in guest memory).
+		r.waitInterruptible(p, &req.matched)
+		msg = req.msg
+		*req = recvReq{}
+		r.job.freeReqs = append(r.job.freeReqs, req)
 	}
-	r.recvQ = append(r.recvQ, req)
-	// Checkpoint-interruptible: the posted receive survives a full
-	// coordination cycle (it is runtime state in guest memory).
-	r.waitInterruptible(p, req.got.Done)
-	return r.completeRecv(p, req.got.Value())
+	return r.completeRecv(p, msg)
 }
 
-// completeRecv finishes the protocol for a matched message.
+// completeRecv finishes the protocol for a matched message and recycles
+// it.
 func (r *Rank) completeRecv(p *sim.Proc, msg *message) (float64, error) {
-	if msg.rndv != nil {
-		rv := &rendezvous{receiver: r, done: sim.NewFuture[struct{}](r.job.k)}
-		msg.rndv.Set(rv) // clear-to-send
+	if msg.rndv {
+		msg.cts = true
 		msg.sender.wake.Broadcast()
 		// Payload landing; interruptible for the same reason as the CTS
 		// wait on the send side.
-		r.waitInterruptible(p, rv.done.Done)
+		r.waitInterruptible(p, &msg.landed)
 	}
-	return msg.bytes, nil
+	bytes := msg.bytes
+	*msg = message{}
+	r.job.freeMsgs = append(r.job.freeMsgs, msg)
+	return bytes, nil
 }
 
-// deliver runs the receiver-side matching engine.
+// deliver runs the receiver-side matching engine. Here and in
+// takeUnexpected, slices.Delete clears the vacated last slot, which would
+// otherwise alias a recycled request or message.
 func (r *Rank) deliver(msg *message) {
 	for i, req := range r.recvQ {
-		if req.matches(msg) {
-			r.recvQ = append(r.recvQ[:i], r.recvQ[i+1:]...)
-			req.got.Set(msg)
+		if matches(req.src, req.tag, msg) {
+			r.recvQ = slices.Delete(r.recvQ, i, i+1)
+			req.msg, req.matched = msg, true
 			r.wake.Broadcast()
 			return
 		}
@@ -133,33 +153,70 @@ func (r *Rank) deliver(msg *message) {
 	r.unexpQ = append(r.unexpQ, msg)
 }
 
-// takeUnexpected pops the first queued message matching req, if any.
-func (r *Rank) takeUnexpected(req *recvReq) *message {
+// takeUnexpected pops the first queued message matching (src, tag), if
+// any.
+func (r *Rank) takeUnexpected(src, tag int) *message {
 	for i, msg := range r.unexpQ {
-		if req.matches(msg) {
-			r.unexpQ = append(r.unexpQ[:i], r.unexpQ[i+1:]...)
+		if matches(src, tag, msg) {
+			r.unexpQ = slices.Delete(r.unexpQ, i, i+1)
 			return msg
 		}
 	}
 	return nil
 }
 
+// sendrecv is a rank's Sendrecv sender: a process, started by the rank's
+// first Sendrecv, that runs the send half of every call so an exchange of
+// large messages between peers cannot deadlock. A rank makes one
+// Sendrecv at a time, so one sender serves them all.
+type sendrecv struct {
+	dst, tag int
+	bytes    float64
+	err      error
+	busy     bool      // a send is handed over and not yet finished
+	start    *sim.Cond // the sender parks here between sends
+	finish   *sim.Cond // the caller parks here until the send finishes
+}
+
 // Sendrecv performs a simultaneous send and receive (MPI_Sendrecv): the
-// send runs in a helper process so large-message exchanges between peers
-// cannot deadlock.
+// rank's sender process runs the send while the caller receives. It
+// returns once both halves are done.
 func (r *Rank) Sendrecv(p *sim.Proc, dst, sendTag int, bytes float64, src, recvTag int) (float64, error) {
-	sendErr := sim.NewFuture[error](r.job.k)
-	r.job.k.Go(r.sendrecvName, func(sp *sim.Proc) {
-		sendErr.Set(r.Send(sp, dst, sendTag, bytes))
-	})
+	s := &r.sr
+	if s.busy {
+		panic(fmt.Sprintf("mpi: rank %d: Sendrecv while another is in flight", r.id))
+	}
+	s.dst, s.tag, s.bytes, s.busy = dst, sendTag, bytes, true
+	if s.start == nil {
+		s.start, s.finish = sim.NewCond(r.job.k), sim.NewCond(r.job.k)
+		r.job.k.Go(r.sendrecvName, r.sendLoop)
+	} else {
+		s.start.Signal()
+	}
 	got, err := r.Recv(p, src, recvTag)
+	for s.busy {
+		s.finish.Wait(p)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if err := sendErr.Wait(p); err != nil {
-		return 0, err
+	if s.err != nil {
+		return 0, s.err
 	}
 	return got, nil
+}
+
+// sendLoop is the body of the rank's sender process.
+func (r *Rank) sendLoop(p *sim.Proc) {
+	s := &r.sr
+	for {
+		for !s.busy {
+			s.start.Wait(p)
+		}
+		s.err = r.Send(p, s.dst, s.tag, s.bytes)
+		s.busy = false
+		s.finish.Signal()
+	}
 }
 
 // PendingUnexpected returns the number of buffered unmatched messages

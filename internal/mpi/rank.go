@@ -45,8 +45,8 @@ type Rank struct {
 	// chain is the rank's ComputeLoop chain, surfaced by RequestCheckpoint.
 	chain sim.Chain
 
-	// sendrecvName names the helper process Sendrecv starts, built once
-	// per rank rather than per call.
+	// sr is the rank's Sendrecv sender; sendrecvName names its process.
+	sr           sendrecv
 	sendrecvName string
 }
 
@@ -87,12 +87,12 @@ func (r *Rank) spinResume() {
 	}
 }
 
-// waitInterruptible blocks until ready() holds, participating in a pending
+// waitInterruptible blocks until *ready holds, participating in a pending
 // checkpoint if one arrives meanwhile — the CRCP interruption that keeps a
 // rank blocked in Recv (waiting for a peer that has already quiesced) from
 // deadlocking the coordination.
-func (r *Rank) waitInterruptible(p *sim.Proc, ready func() bool) {
-	for !ready() {
+func (r *Rank) waitInterruptible(p *sim.Proc, ready *bool) {
+	for !*ready {
 		j := r.job
 		if j.ckptPending && r.ftGen != j.ckptGen {
 			r.ftGen = j.ckptGen

@@ -22,9 +22,10 @@ if go list -deps ./internal/simfarm | grep -E '^repro/internal/(experiments|flee
 fi
 go vet ./...
 go test -race ./...
-# The zero-allocation wake-up test is built without -race only (the race
-# detector allocates on coroutine switches), so run it once more here.
-go test -run Alloc ./internal/sim
+# The zero-allocation tests (kernel wake-ups, warm Sendrecv rounds, warm
+# fabric replans) are built without -race only (the race detector
+# allocates on coroutine switches), so run them once more here.
+go test -run Alloc ./internal/sim ./internal/mpi ./internal/fabric
 # The benchmark is a module of its own, so the root `go test ./...` does
 # not enter it. Its tests run each workload once in small shape and
 # check it: churn's departed + rejected == arrived, and every pass
