@@ -12,19 +12,33 @@ import (
 
 func newJob(t *testing.T, nVMs, ranksPerVM int) (*sim.Kernel, *mpi.Job) {
 	t.Helper()
+	return newJobOver(t, nVMs, ranksPerVM, true)
+}
+
+// newJobOver is newJob on InfiniBand nodes if ib is set, and otherwise on
+// an Ethernet-only cluster, where the ranks of different VMs talk over
+// tcp.
+func newJobOver(t *testing.T, nVMs, ranksPerVM int, ib bool) (*sim.Kernel, *mpi.Job) {
+	t.Helper()
 	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
-	ib := tb.AddCluster("ib", nVMs, hw.AGCNodeSpec)
+	name, spec := "ib", hw.AGCNodeSpec
+	if !ib {
+		name, spec.IBBandwidth = "eth", 0
+	}
+	cl := tb.AddCluster(name, nVMs, spec)
 	var vms []*vmm.VM
 	for i := 0; i < nVMs; i++ {
-		vm, err := vmm.New(k, ib.Nodes[i], tb.Segment, vmm.Config{
-			Name: ib.Nodes[i].Name + "/vm", VCPUs: 8, MemoryBytes: 20 * hw.GB,
+		vm, err := vmm.New(k, cl.Nodes[i], tb.Segment, vmm.Config{
+			Name: cl.Nodes[i].Name + "/vm", VCPUs: 8, MemoryBytes: 20 * hw.GB,
 		}, vmm.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vm.AttachBootHCA(); err != nil {
-			t.Fatal(err)
+		if ib {
+			if err := vm.AttachBootHCA(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		vms = append(vms, vm)
 	}
