@@ -12,8 +12,8 @@ import (
 
 // TestAllocFreeSendrecv checks that once warm, a round of Sendrecv around
 // a ring of ranks sharing one VM (the sm transport) allocates nothing,
-// eager or rendezvous: the sender processes persist and messages and
-// receive requests are recycled. Each Run executes one round: rank 0
+// eager or rendezvous: the send halves run as callbacks of a waiter made
+// once per rank, and messages and receive requests are recycled. Each Run executes one round: rank 0
 // stops the kernel after each of its exchanges.
 func TestAllocFreeSendrecv(t *testing.T) {
 	for _, c := range []struct {

@@ -90,14 +90,14 @@ func TestOpenIBTransferAndReconnectAfterReset(t *testing.T) {
 	mod := NewOpenIB(a)
 	var firstErr, secondErr, thirdErr error
 	k.Go("x", func(p *sim.Proc) {
-		firstErr = mod.Transfer(p, b, 1e6)
+		firstErr = Transfer(p, mod, b, 1e6)
 		// Peer HCA resets (what a detach/attach cycle does).
 		hca, _ := b.VM().Guest().IBDevice()
 		hca.PowerOff()
 		hca.PowerOn()
 		hca.WaitActive(p)
-		secondErr = mod.Transfer(p, b, 1e6) // stale QP → error, cache dropped
-		thirdErr = mod.Transfer(p, b, 1e6)  // reconnects with fresh LID/QPN
+		secondErr = Transfer(p, mod, b, 1e6) // stale QP → error, cache dropped
+		thirdErr = Transfer(p, mod, b, 1e6)  // reconnects with fresh LID/QPN
 	})
 	k.Run()
 	if firstErr != nil {
@@ -119,7 +119,7 @@ func TestReleasedModuleUnusable(t *testing.T) {
 		t.Fatal("released module still usable")
 	}
 	var err error
-	k.Go("x", func(p *sim.Proc) { err = mod.Transfer(p, b, 10) })
+	k.Go("x", func(p *sim.Proc) { err = Transfer(p, mod, b, 10) })
 	k.Run()
 	if err != ErrReleased {
 		t.Fatalf("err = %v, want ErrReleased", err)
@@ -166,7 +166,7 @@ func TestSMTransferChargesCPU(t *testing.T) {
 	var dur sim.Time
 	k.Go("x", func(p *sim.Proc) {
 		start := p.Now()
-		if err := sm.Transfer(p, peer, 3e9); err != nil { // 3 GB at 3 GB/s
+		if err := Transfer(p, sm, peer, 3e9); err != nil { // 3 GB at 3 GB/s
 			t.Errorf("Transfer: %v", err)
 		}
 		dur = p.Now() - start
@@ -195,7 +195,7 @@ func TestTCPTransferChargesVhost(t *testing.T) {
 	var dur sim.Time
 	k.Go("x", func(p *sim.Proc) {
 		start := p.Now()
-		if err := mod.Transfer(p, b, 1e9); err != nil {
+		if err := Transfer(p, mod, b, 1e9); err != nil {
 			t.Errorf("Transfer: %v", err)
 		}
 		dur = p.Now() - start
@@ -232,7 +232,7 @@ func TestOpenIBParavirtSlower(t *testing.T) {
 		var dur sim.Time
 		k.Go("x", func(p *sim.Proc) {
 			start := p.Now()
-			if err := mod.Transfer(p, b, 1e9); err != nil {
+			if err := Transfer(p, mod, b, 1e9); err != nil {
 				t.Errorf("Transfer: %v", err)
 			}
 			dur = p.Now() - start
@@ -255,7 +255,7 @@ func TestSMReleaseReinit(t *testing.T) {
 		t.Fatal("released sm usable")
 	}
 	var err error
-	k.Go("x", func(p *sim.Proc) { err = sm.Transfer(p, peer, 10) })
+	k.Go("x", func(p *sim.Proc) { err = Transfer(p, sm, peer, 10) })
 	k.Run()
 	if err != ErrReleased {
 		t.Fatalf("err = %v", err)
@@ -270,7 +270,7 @@ func TestSMUnreachablePeerError(t *testing.T) {
 	k, a, b := newPair(t, true)
 	sm := NewSM(a)
 	var err error
-	k.Go("x", func(p *sim.Proc) { err = sm.Transfer(p, b, 10) })
+	k.Go("x", func(p *sim.Proc) { err = Transfer(p, sm, b, 10) })
 	k.Run()
 	if err != ErrUnreachable {
 		t.Fatalf("err = %v, want ErrUnreachable", err)

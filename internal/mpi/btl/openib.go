@@ -82,68 +82,92 @@ func (m *OpenIB) Reachable(peer Endpoint) bool {
 	return fabric.Reachable(lh.Adapter(), ph.Adapter())
 }
 
-// Transfer implements Module.
-func (m *OpenIB) Transfer(p *sim.Proc, peer Endpoint, bytes float64) error {
-	if m.released {
-		return ErrReleased
+// OpenIB transfer steps.
+const (
+	ibStart  = iota
+	ibDialed // a lazy dial's address exchange has elapsed
+	ibPost   // para-virtualized: the VMM crossing has elapsed
+	ibWait   // the send is posted
+)
+
+// Step implements Module: connect on first use, then post the send and
+// wait for its completion (and, para-virtualized, the VMM's copies).
+func (m *OpenIB) Step(x *Xfer) bool {
+	switch x.state {
+	case ibStart:
+		if m.released {
+			return x.fail(ErrReleased)
+		}
+		if qp, ok := m.qps[x.peer.RankID()]; ok && qp.Connected() {
+			x.qp = qp
+			break
+		}
+		var ok bool
+		if x.hca, ok = m.local.VM().Guest().IBDevice(); !ok {
+			return x.fail(ErrUnreachable)
+		}
+		if x.peerHCA, ok = x.peer.VM().Guest().IBDevice(); !ok {
+			return x.fail(ErrUnreachable)
+		}
+		x.state = ibDialed
+		x.w.WakeAfter(m.ConnectLatency) // OOB LID/QPN exchange
+		return false
+	case ibDialed:
+		if err := m.dial(x); err != nil {
+			return x.fail(err)
+		}
+	case ibPost:
+		return m.post(x)
+	case ibWait:
+		return x.awaitAll()
 	}
-	qp, err := m.connection(p, peer)
+	if pv := m.paravirt; pv != nil {
+		x.state = ibPost
+		x.w.WakeAfter(pv.ExtraLatency)
+		return false
+	}
+	return m.post(x)
+}
+
+// dial connects a QP pair between the HCAs x read before the address
+// exchange, and caches the local end for the peer.
+func (m *OpenIB) dial(x *Xfer) error {
+	qp, err := x.hca.CreateQP()
 	if err != nil {
 		return err
 	}
-	if pv := m.paravirt; pv != nil {
-		p.Sleep(pv.ExtraLatency)
-		fut, err := qp.PostSend(bytes)
-		if err != nil {
-			delete(m.qps, peer.RankID())
-			return fmt.Errorf("btl/openib: rank %d → %d: %w", m.local.RankID(), peer.RankID(), err)
-		}
-		// The VMM copies every byte on both ends, concurrent with the wire.
-		parts := []*sim.Future[struct{}]{fut}
-		if w := pv.CPUCostPerByte * bytes; w > 0 {
-			parts = append(parts,
-				m.local.VM().HostCPU().ServeAsync(w),
-				peer.VM().HostCPU().ServeAsync(w))
-		}
-		sim.WaitAll(p, parts...)
-		return nil
+	peerQP, err := x.peerHCA.CreateQP()
+	if err != nil {
+		return err
 	}
-	if err := qp.Send(p, bytes); err != nil {
-		// A destroyed or stale QP means the device changed under us —
-		// drop the cached connection so a future retry reconnects.
-		delete(m.qps, peer.RankID())
-		return fmt.Errorf("btl/openib: rank %d → %d: %w", m.local.RankID(), peer.RankID(), err)
+	if err := qp.Connect(x.peerHCA.LID(), peerQP.QPN()); err != nil {
+		return err
 	}
+	m.qps[x.peer.RankID()] = qp
+	x.qp = qp
 	return nil
 }
 
-// connection returns the QP for the peer, dialing it on first use.
-func (m *OpenIB) connection(p *sim.Proc, peer Endpoint) (*fabric.QueuePair, error) {
-	if qp, ok := m.qps[peer.RankID()]; ok && qp.Connected() {
-		return qp, nil
-	}
-	localHCA, ok := m.local.VM().Guest().IBDevice()
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	peerHCA, ok := peer.VM().Guest().IBDevice()
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	p.Sleep(m.ConnectLatency) // OOB LID/QPN exchange
-	qp, err := localHCA.CreateQP()
+// post posts x's send on its QP and waits for it to complete.
+func (m *OpenIB) post(x *Xfer) bool {
+	fut, err := x.qp.PostSend(x.bytes)
 	if err != nil {
-		return nil, err
+		// A destroyed or stale QP means the device changed under us —
+		// drop the cached connection so a future retry reconnects.
+		delete(m.qps, x.peer.RankID())
+		return x.fail(fmt.Errorf("btl/openib: rank %d → %d: %w", m.local.RankID(), x.peer.RankID(), err))
 	}
-	peerQP, err := peerHCA.CreateQP()
-	if err != nil {
-		return nil, err
+	x.await(fut)
+	// Para-virtualized, the VMM copies every byte on both ends,
+	// concurrent with the wire.
+	if pv := m.paravirt; pv != nil {
+		if w := pv.CPUCostPerByte * x.bytes; w > 0 {
+			x.await(m.local.VM().HostCPU().ServeAsync(w))
+			x.await(x.peer.VM().HostCPU().ServeAsync(w))
+		}
 	}
-	if err := qp.Connect(peerHCA.LID(), peerQP.QPN()); err != nil {
-		return nil, err
-	}
-	m.qps[peer.RankID()] = qp
-	return qp, nil
+	x.state = ibWait
+	return x.awaitAll()
 }
 
 // Release implements Module: destroy every connection (ibv_destroy_qp on

@@ -37,19 +37,25 @@ func (m *SM) Reachable(peer Endpoint) bool {
 	return m.local.VM() == peer.VM()
 }
 
-// Transfer implements Module: a memcpy on the host CPU.
-func (m *SM) Transfer(p *sim.Proc, peer Endpoint, bytes float64) error {
-	if m.released {
-		return ErrReleased
+// Step implements Module: the handoff latency, then a memcpy on the host
+// CPU.
+func (m *SM) Step(x *Xfer) bool {
+	switch x.state {
+	case 0:
+		if m.released {
+			return x.fail(ErrReleased)
+		}
+		if !m.Reachable(x.peer) {
+			return x.fail(ErrUnreachable)
+		}
+		x.state = 1
+		x.w.WakeAfter(m.Latency)
+		return false
+	case 1:
+		x.state = 2
+		return m.local.VM().HostCPU().Submit(x.w, x.bytes/m.CopyBandwidth)
 	}
-	if !m.Reachable(peer) {
-		return ErrUnreachable
-	}
-	p.Sleep(m.Latency)
-	if bytes > 0 {
-		m.local.VM().HostCPU().Serve(p, bytes/m.CopyBandwidth)
-	}
-	return nil
+	return true
 }
 
 // Release implements Module.

@@ -1,10 +1,6 @@
 package btl
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // TCP is the tcp BTL: kernel TCP/IP over the guest's virtio-net device.
 // It works on any Ethernet segment, costs host CPU (vhost datapath) and
@@ -68,36 +64,39 @@ func (m *TCP) Reachable(peer Endpoint) bool {
 	return ln.Segment() == pn.Segment()
 }
 
-// Transfer implements Module: a virtio/TCP transfer charging vhost CPU on
+// Step implements Module: a virtio/TCP transfer charging vhost CPU on
 // both hosts.
-func (m *TCP) Transfer(p *sim.Proc, peer Endpoint, bytes float64) error {
+func (m *TCP) Step(x *Xfer) bool {
+	if x.state == 1 {
+		return x.awaitAll()
+	}
 	if m.released {
-		return ErrReleased
+		return x.fail(ErrReleased)
 	}
 	ln, ok := m.local.VM().Guest().EthDevice()
 	if !ok {
-		return ErrUnreachable
+		return x.fail(ErrUnreachable)
 	}
-	pn, ok := peer.VM().Guest().EthDevice()
+	pn, ok := x.peer.VM().Guest().EthDevice()
 	if !ok {
-		return ErrUnreachable
+		return x.fail(ErrUnreachable)
 	}
 	// Wire flow (no NIC-level CPU charging: the BTL owns the vhost cost
 	// model so it can apply the over-commit penalty).
-	fut, err := ln.SendTo(pn.IP(), bytes, 0, nil, nil)
+	fut, err := ln.SendTo(pn.IP(), x.bytes, 0, nil, nil)
 	if err != nil {
-		return fmt.Errorf("btl/tcp: rank %d → %d: %w", m.local.RankID(), peer.RankID(), err)
+		return x.fail(fmt.Errorf("btl/tcp: rank %d → %d: %w", m.local.RankID(), x.peer.RankID(), err))
 	}
 	// vhost datapath work on both hosts, concurrent with the flow.
-	parts := []*sim.Future[struct{}]{fut}
-	if w := ln.CPUCostPerByte * bytes * overcommitPenalty(m.local); w > 0 {
-		parts = append(parts, m.local.VM().HostCPU().ServeAsync(w))
+	x.await(fut)
+	if w := ln.CPUCostPerByte * x.bytes * overcommitPenalty(m.local); w > 0 {
+		x.await(m.local.VM().HostCPU().ServeAsync(w))
 	}
-	if w := pn.CPUCostPerByte * bytes * overcommitPenalty(peer); w > 0 {
-		parts = append(parts, peer.VM().HostCPU().ServeAsync(w))
+	if w := pn.CPUCostPerByte * x.bytes * overcommitPenalty(x.peer); w > 0 {
+		x.await(x.peer.VM().HostCPU().ServeAsync(w))
 	}
-	sim.WaitAll(p, parts...)
-	return nil
+	x.state = 1
+	return x.awaitAll()
 }
 
 // Release implements Module (sockets closed; nothing device-fatal here —

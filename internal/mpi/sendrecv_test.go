@@ -8,10 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSendrecvSenderPersists: every rank's first Sendrecv starts its
-// sender process and later calls reuse it, so the number of live
-// processes stays put across rounds of eager and rendezvous exchanges.
-func TestSendrecvSenderPersists(t *testing.T) {
+// TestSendrecvStartsNoProcess: the send half of a Sendrecv runs as
+// callbacks, so across rounds of eager and rendezvous exchanges the only
+// live processes are the rank bodies and the launch's join process.
+func TestSendrecvStartsNoProcess(t *testing.T) {
 	r := newRig(t, 2, 2, true)
 	defer r.k.Close()
 	const rounds = 100
@@ -29,21 +29,20 @@ func TestSendrecvSenderPersists(t *testing.T) {
 				t.Errorf("rank %d round %d: got %v, %v", rk.RankID(), i, got, err)
 				return
 			}
-			r.job.Barrier(p)
 			if rk.RankID() == 0 {
 				live = append(live, r.k.LiveProcs())
 			}
+			r.job.Barrier(p)
 		}
 	})
 	r.k.Run()
 	if len(live) != rounds {
 		t.Fatalf("%d rounds finished, want %d", len(live), rounds)
 	}
-	// Four rank bodies, the launch's join process and four senders; after
-	// the last round the bodies start to return.
-	for i, n := range live[:rounds-1] {
-		if n != 9 {
-			t.Fatalf("LiveProcs after round %d = %d, want 9", i, n)
+	// Four rank bodies and the launch's join process.
+	for i, n := range live {
+		if n != 5 {
+			t.Fatalf("LiveProcs after round %d = %d, want 5", i, n)
 		}
 	}
 }

@@ -16,12 +16,19 @@ type procKilled struct{}
 // with other processes only at explicit blocking points (Sleep, waits on
 // sync primitives). Between blocking points a process runs to completion,
 // so model code needs no locking.
+//
+// A Proc made by Waiter has no body: it is a callback that the
+// primitives' non-parking registrations (WakeAfter, Cond.Await,
+// Future.Await, PS.Submit) enqueue exactly where the blocking forms
+// enqueue a parked process, and that runs where the process would
+// resume. Code moved from a process body into waiter callbacks therefore
+// schedules the same kernel events in the same order.
 type Proc struct {
 	k     *Kernel
 	name  string
 	fn    func(p *Proc) // nil once started
 	w     *worker       // bound at the first step, released when fn returns
-	wake  func()        // p.step, bound once so wake-ups allocate nothing
+	wake  func()        // p.step, or a waiter's callback; bound once so wake-ups allocate nothing
 	doneF *Future[struct{}]
 }
 
@@ -39,12 +46,35 @@ type worker struct {
 // the current simulated time, after all already-queued events for this
 // instant. The returned Proc can be waited on via Done.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	p := k.newProc(name, fn)
+	k.Schedule(0, p.wake)
+	return p
+}
+
+// GoNow starts fn as a new simulated process and runs it within the
+// current event, up to its first blocking point, with no kernel event of
+// its own: the process picks up exactly where the caller stands. It
+// promotes a waiter's callback into a process when the callback reaches
+// work that must block, so it must be called in event context (a
+// waiter's callback), not from a process body.
+func (k *Kernel) GoNow(name string, fn func(p *Proc)) *Proc {
+	p := k.newProc(name, fn)
+	p.step()
+	return p
+}
+
+func (k *Kernel) newProc(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, fn: fn, doneF: NewFuture[struct{}](k)}
 	p.wake = p.step
-	k.Schedule(0, p.wake)
 	k.live++
 	return p
 }
+
+// Waiter returns a Proc with no body whose wake-ups run fn in event
+// context. It is registered with the primitives' non-parking forms only;
+// passing it to a blocking call (Sleep, Wait, Serve) or to Park panics.
+// It is not a live process and has no Done future.
+func (k *Kernel) Waiter(fn func()) *Proc { return &Proc{k: k, wake: fn} }
 
 // step switches to the process and returns once it parks or exits. It
 // must only be called from event context (the kernel loop).
@@ -56,9 +86,12 @@ func (p *Proc) step() {
 	w.next()
 }
 
-// park suspends the process until some event calls step. It must only be
-// called from the process's own body.
-func (p *Proc) park() {
+// Park suspends the process until its wake-up runs. It must only be
+// called from the process's own body, after registering the process with
+// a non-parking form (WakeAfter, Cond.Await, Future.Await, PS.Submit)
+// that reported it must wait: each blocking call is that registration
+// followed by Park.
+func (p *Proc) Park() {
 	if !p.w.yield(struct{}{}) {
 		panic(procKilled{})
 	}
@@ -129,11 +162,17 @@ func (p *Proc) Done() *Future[struct{}] { return p.doneF }
 // the processor for one scheduling round (other events at the current
 // instant run first).
 func (p *Proc) Sleep(d Time) {
+	p.WakeAfter(d)
+	p.Park()
+}
+
+// WakeAfter is Sleep's registration: it schedules p's wake-up d from now
+// (a non-positive d: after the events already queued for this instant).
+func (p *Proc) WakeAfter(d Time) {
 	if d < 0 {
 		d = 0
 	}
 	p.k.Schedule(d, p.wake)
-	p.park()
 }
 
 // Yield is Sleep(0): lets all other events queued for the current instant

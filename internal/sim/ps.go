@@ -538,15 +538,26 @@ func (ps *PS) ServeAsync(amount float64) *Future[struct{}] {
 // would resolve the future; a job that completes within its own replan
 // does not park.
 func (ps *PS) Serve(p *Proc, amount float64) {
+	if !ps.Submit(p, amount) {
+		p.Park()
+	}
+}
+
+// Submit is Serve's registration: it submits a job of amount for w and
+// reports whether the job completed at once (a non-positive amount, or
+// one done within its own replan); otherwise w is woken when it
+// completes.
+func (ps *PS) Submit(w *Proc, amount float64) bool {
 	if amount <= 0 {
-		return
+		return true
 	}
 	j := ps.join(amount)
 	ps.replan()
-	if !j.done {
-		j.p = p
-		p.park()
+	if j.done {
+		return true
 	}
+	j.p = w
+	return false
 }
 
 // ServeChain serves n jobs of amount one after another for p, exactly as
@@ -571,7 +582,7 @@ func (ps *PS) ServeChain(p *Proc, c *Chain, n int, amount float64) int {
 	ps.links = insertLink(ps.links, psLink{c: c, finish: ps.virtual + amount, seq: ps.seq, amount: amount, left: n - 1})
 	ps.seq++
 	ps.replan()
-	p.park()
+	p.Park()
 	return c.served
 }
 
