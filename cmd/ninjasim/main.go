@@ -69,6 +69,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
+	defer d.K.Close()
 
 	if !plan.Empty() {
 		// Faulty runs get the resilient orchestrator: bounded phases,

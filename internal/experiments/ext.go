@@ -126,6 +126,7 @@ func ExtScalability(vmCounts []int) ([]ScalabilityRow, error) {
 				rep, migErr = d.Orch.MigratePolicy(p, dsts, ninja.AttachNever)
 			})
 			d.K.Run()
+			d.K.Close()
 			if migErr != nil {
 				return nil, fmt.Errorf("experiments: scalability n=%d cross=%v: %w", n, cross, migErr)
 			}
@@ -188,6 +189,7 @@ func ExtColdVsLive(vmCounts []int) ([]ColdVsLiveRow, error) {
 				}
 			})
 			d.K.Run()
+			d.K.Close()
 			if migErr != nil {
 				return nil, fmt.Errorf("experiments: cold-vs-live n=%d cold=%v: %w", n, cold, migErr)
 			}
@@ -243,6 +245,7 @@ func ExtBypassOverhead() ([]BypassRow, error) {
 		if err != nil {
 			return row, err
 		}
+		defer d.K.Close()
 		if paravirt {
 			for _, rk := range d.Job.Ranks() {
 				for _, m := range rk.BTLs().Modules() {

@@ -124,6 +124,7 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 	if err != nil {
 		return row, err
 	}
+	defer d.K.Close()
 	for _, vm := range d.VMs {
 		if _, err := vm.Memory().AddRegion("data", 2*hw.GB, 0, 0); err != nil {
 			return row, err

@@ -52,6 +52,7 @@ func Fig6(footprintsGB []float64) ([]Fig6Row, error) {
 			rep, migErr = d.Orch.Migrate(p, d.DstNodes(8))
 		})
 		d.K.Run()
+		d.K.Close()
 		if migErr != nil {
 			return nil, fmt.Errorf("experiments: fig6 %vGB: %w", f, migErr)
 		}

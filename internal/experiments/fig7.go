@@ -67,8 +67,6 @@ func Fig7(kernels []string, scale float64) ([]Fig7Row, error) {
 				})
 			}
 			d.K.Run()
-			// Close unwinds the ranks' parked Sendrecv senders, which
-			// would otherwise keep the deployment reachable.
 			d.K.Close()
 			if migErr != nil {
 				return nil, fmt.Errorf("experiments: fig7 %s: %w", kn, migErr)

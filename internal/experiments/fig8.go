@@ -48,6 +48,7 @@ func Fig8(ranksPerVM int, steps int) (*Fig8Result, error) {
 		return nil, err
 	}
 	k := d.K
+	defer k.Close()
 	nRanks := d.Job.Size()
 
 	// The scenario's three migrations, gated at exact step boundaries.

@@ -52,6 +52,7 @@ func Table2() ([]Table2Row, error) {
 			rep, migErr = d.Orch.MigratePolicy(p, dsts, c.policy)
 		})
 		d.K.Run()
+		d.K.Close()
 		if migErr != nil {
 			return nil, fmt.Errorf("experiments: table2 %s→%s: %w", c.src, c.dst, migErr)
 		}

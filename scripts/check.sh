@@ -26,6 +26,9 @@ go test -race ./...
 # fabric replans) are built without -race only (the race detector
 # allocates on coroutine switches), so run them once more here.
 go test -run Alloc ./internal/sim ./internal/mpi ./internal/fabric
+# The layer benchmarks (kernel, MPI point-to-point, fabric max-min) run
+# once each, so they keep compiling and running.
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mpi ./internal/fabric
 # The benchmark is a module of its own, so the root `go test ./...` does
 # not enter it. Its tests run each workload once in small shape and
 # check it: churn's departed + rejected == arrived, and every pass
