@@ -297,19 +297,3 @@ func TestCondBroadcast(t *testing.T) {
 		t.Fatalf("count = %d, want 4", count)
 	}
 }
-
-func TestWaitAll(t *testing.T) {
-	k := NewKernel()
-	f1, f2 := NewFuture[int](k), NewFuture[int](k)
-	var at Time
-	k.Go("w", func(p *Proc) {
-		WaitAll(p, f1, f2)
-		at = p.Now()
-	})
-	k.Schedule(Second, func() { f2.Set(2) })
-	k.Schedule(2*Second, func() { f1.Set(1) })
-	k.Run()
-	if at != 2*Second {
-		t.Fatalf("WaitAll finished at %v, want 2s", at)
-	}
-}
