@@ -117,7 +117,10 @@ type FleetDeployment struct {
 	Source *fleet.Site // dc0, the site the directive evacuates
 	Jobs   []*fleet.Job
 	Apps   []*sim.Future[struct{}]
-	Spares *scheduler.Spares
+	// AppEnds is the instant each job's application returned on its last
+	// rank (the instant its Apps future resolves).
+	AppEnds []sim.Time
+	Spares  *scheduler.Spares
 	// SpareNodes are the dc1 standbys behind Spares (for tests).
 	SpareNodes []*hw.Node
 	// Epoch is the simulated time after boot + link training.
@@ -197,6 +200,7 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 	// One MPI job + orchestrator per gang, all sharing the retry policy
 	// and the spare pool.
 	pol := ninja.DefaultRetryPolicy()
+	d.AppEnds = make([]sim.Time, cfg.Jobs)
 	for j := 0; j < cfg.Jobs; j++ {
 		job, err := mpi.NewJob(k, mpi.Config{
 			VMs: vms[j], RanksPerVM: 1, ContinueLikeRestart: true,
@@ -212,6 +216,7 @@ func DeployFleet(cfg FleetConfig) (*FleetDeployment, error) {
 		})
 		d.Apps = append(d.Apps, job.Launch(name, func(p *sim.Proc, rk *mpi.Rank) {
 			rk.ComputeLoop(p, fleetAppIters, 0.2)
+			d.AppEnds[j] = max(d.AppEnds[j], p.Now())
 		}))
 	}
 	return d, nil
@@ -313,6 +318,8 @@ type FleetResult struct {
 	Row    FleetRow
 	Plan   *fleet.Plan
 	Report fleet.Report
+	// AppEnds is the instant each job's application finished.
+	AppEnds []sim.Time
 }
 
 // RunFleetScenario deploys a fresh fleet, plans the directive over dc0
@@ -512,7 +519,7 @@ func RunFleetScenarioWith(cfg FleetConfig, sc FleetScenario, sink func(metrics.E
 			row.IBJobsOnIB++
 		}
 	}
-	return &FleetResult{Row: row, Plan: plan, Report: rep}, nil
+	return &FleetResult{Row: row, Plan: plan, Report: rep, AppEnds: d.AppEnds}, nil
 }
 
 // ExtFleetScenarios is the directive × policy matrix: both placements
