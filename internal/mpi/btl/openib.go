@@ -1,7 +1,6 @@
 package btl
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -182,9 +181,6 @@ func (m *OpenIB) Reinit() {
 	m.qps = make(map[int]*fabric.QueuePair)
 	m.released = false
 }
-
-// ErrNoHCA is returned when the guest has no IB device at all.
-var ErrNoHCA = errors.New("btl/openib: no HCA in guest")
 
 // ConnectionCount returns the number of live cached connections (tests).
 func (m *OpenIB) ConnectionCount() int { return len(m.qps) }

@@ -53,3 +53,38 @@ func BenchmarkPSServe(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 }
+
+// BenchmarkPSChain measures one 3000-quantum chain of 0.2 s quanta, the
+// experiments' app loop, on a fresh 1-core PS: lone is the fleet's shape
+// (the chain is the PS's only job), pair runs a second chain beside it.
+func BenchmarkPSChain(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		chains int
+	}{{"lone", 1}, {"pair", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			k := NewKernel()
+			defer k.Close()
+			k.Go("driver", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					ps := NewPS(k, 1, 1)
+					var twin *Proc
+					if bc.chains == 2 {
+						twin = k.Go("twin", func(q *Proc) {
+							var c Chain
+							ps.ServeChain(q, &c, 3000, 0.2)
+						})
+					}
+					var c Chain
+					ps.ServeChain(p, &c, 3000, 0.2)
+					if twin != nil {
+						twin.Done().Wait(p)
+					}
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run()
+		})
+	}
+}

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // PS is a processor-sharing resource: a server with a total capacity
 // (work units per simulated second) shared equally among all active jobs,
 // optionally with a per-job rate cap. It models both CPUs under contention
@@ -186,7 +188,9 @@ func (ps *PS) advance(t Time) {
 	}
 	elapsed := (t - ps.lastUpdate).Seconds()
 	if r := ps.rate(); r > 0 {
-		ps.virtual += r * elapsed
+		// The conversion rounds the product before the sum, as replay
+		// and leap take it, on every architecture (Go may fuse x*y+z).
+		ps.virtual += float64(r * elapsed)
 	}
 	ps.lastUpdate = t
 }
@@ -283,7 +287,7 @@ func nextFinish(jobs []*psJob, links []psLink) float64 {
 // as their wake-ups would. It reports false, leaving s as it was, if the
 // completion needs a real event.
 func (s *psTrack) replay(jobs []*psJob, r float64, at Time, realSeq uint64) bool {
-	v := s.virtual + r*(at-s.lastUpdate).Seconds()
+	v := s.virtual + float64(r*(at-s.lastUpdate).Seconds())
 	if len(jobs) > 0 && jobs[0].finish-v <= psEpsilon {
 		return false
 	}
@@ -312,6 +316,59 @@ func (s *psTrack) replay(jobs []*psJob, r float64, at Time, realSeq uint64) bool
 	return true
 }
 
+// leap repeats, at most n times, the replay step that just took a lone
+// link, with no plain job beside it, from accumulator v0, finish tag f0
+// and clock t0 to the state in s, and returns how many repeats it took.
+// Every float in one binade [2^(e-1), 2^e) is a multiple of one ulp u, so
+// while virtual and finish stay in the binade, adding x to virtual adds
+// round_u(x) whatever virtual is — unless x lies halfway between two
+// multiples of u, where round-half-even reads virtual's last bit. So if
+// the gap finish−virtual was the same before and after the step, every
+// repeat computes the same delay and the same r·dt, adds the same
+// d = virtual−v0, pops the link at the same test and rejoins it with the
+// same gap: k repeats add k·d, exactly. It takes none on a tie, an
+// unequal gap or the binade's edge, and stops short of the link's last
+// quantum (DESIGN §8).
+func (s *psTrack) leap(v0, f0 float64, t0 Time, r float64, n int, realSeq uint64) int {
+	if len(s.links) != 1 || v0 < 0x1p-1022 || s.lastUpdate == MaxTime {
+		return 0 // several links, no binade of normal floats, or a saturated clock
+	}
+	l := &s.links[0]
+	dt := s.lastUpdate - t0
+	g, d := l.finish-s.virtual, s.virtual-v0
+	// g-d is finish−virtual at the step's pop test; above psEpsilon, the
+	// step popped nothing (replay pops no cut link either).
+	if f0-v0 != g || g-d > psEpsilon {
+		return 0
+	}
+	_, e := math.Frexp(l.finish)
+	top, u := math.Ldexp(1, e), math.Ldexp(1, e-53)
+	if v0 < top/2 || halfway(r*dt.Seconds(), u) || halfway(l.amount, u) {
+		return 0
+	}
+	// Each repeat moves finish by d too; it must stay below top.
+	k := min(n, l.left-1, int((MaxTime-s.lastUpdate)/dt))
+	if du := int64(d / u); du > 0 {
+		k = min(k, int((int64((top-l.finish)/u)-1)/du))
+	}
+	if k <= 0 {
+		return 0
+	}
+	s.virtual += float64(k) * d
+	s.lastUpdate += Time(k) * dt
+	s.seq += uint64(k)
+	l.finish, l.seq, l.left, l.served = s.virtual+l.amount, s.seq-1, l.left-k, l.served+k
+	s.plan = latePlace(s.lastUpdate, realSeq)
+	return k
+}
+
+// halfway reports whether x lies exactly halfway between two multiples of
+// the power of two u.
+func halfway(x, u float64) bool {
+	q := x / u
+	return q-math.Floor(q) == 0.5
+}
+
 // nextEvent replays the chains from the current state to the first
 // completion that needs a kernel event: a plain job's, a chain's last or
 // cut quantum's, or the psHorizon-th replayed one. It returns that instant
@@ -338,9 +395,13 @@ func (ps *PS) nextEvent() (at Time, where place, ok bool) {
 		if at, ok = a.next(ps.jobs, r); !ok {
 			return 0, place{}, false
 		}
+		v0, f0, t0 := a.virtual, a.links[0].finish, a.lastUpdate
 		if step == psHorizon || !a.replay(ps.jobs, r, at, ps.realSeq) {
 			ps.aheadOK = true
 			return at, a.plan, true
+		}
+		if len(ps.jobs) == 0 {
+			step += a.leap(v0, f0, t0, r, psHorizon-step-1, ps.realSeq)
 		}
 	}
 }

@@ -67,9 +67,10 @@ go run -race ./cmd/ninjabench -run=ext-churn -churn-jobs=24 >/dev/null
 go run ./cmd/ninjabench -spec '{"kind":"churn","jobs":24,"seq":"maxflow","faulted":true}' >/dev/null
 go run ./cmd/ninjabench -spec '{"kind":"rolling-maintenance","jobs":3,"max_in_flight":3}' >/dev/null
 go run ./cmd/ninjabench -spec '{"kind":"sweep","jobs":2,"seeds":2,"parallelism":2}' >/dev/null
-# Bench-regression smoke: deterministic sim-* metrics vs the committed
-# baseline (full sweep: scripts/bench.sh).
-sh scripts/bench.sh --smoke >/dev/null
+# Bench regression: every deterministic sim-* metric vs the committed
+# baseline, the fleet sweep cells (long lone compute chains), Fig. 7 NPB,
+# the churn policies and the sequencer plans included.
+sh scripts/bench.sh >/dev/null
 # ninjad crash-recovery smoke: submit a directive, kill -9 the daemon
 # mid-lifecycle, restart it on the same state directory, and verify the
 # job still completes — then drain cleanly on SIGTERM.
